@@ -1,4 +1,4 @@
-.PHONY: all check check-seeds test bench bench-quick bench-hotpath bench-hotpath-capture bench-serve bench-scale bench-epoch bench-epoch-quick bench-pow bench-pow-quick regen-goldens fmt clean
+.PHONY: all check check-seeds check-reach test bench bench-quick bench-hotpath bench-hotpath-capture bench-serve bench-scale bench-epoch bench-epoch-quick bench-pow bench-pow-quick regen-goldens fmt clean
 
 all:
 	dune build
@@ -25,6 +25,25 @@ check-seeds:
 	  dune exec bench/epoch.exe -- --determinism-only --scale quick --seed $$seed || exit 1; \
 	done
 	@echo "seed sweep OK"
+
+# List every library module that nothing outside its own files and
+# test/ reaches, and fail if there is one. A module counts as reached
+# when another file names it as Lib.Module (Lib. for a library's main
+# module), or as Module. inside its own library or a file that opens
+# the library.
+check-reach:
+	@src="lib bin bench examples perfbench"; orphans=""; \
+	for f in lib/*/*.ml; do \
+	  dir=$${f%/*}; lib=$${dir#lib/}; m=$$(basename $$f .ml); \
+	  L=$$(echo $$lib | sed 's/./\U&/'); M=$$(echo $$m | sed 's/./\U&/'); \
+	  if [ "$$m" = "$$lib" ]; then pat="\b$$L\."; else pat="\b$$L\.$$M\b"; fi; \
+	  users=$$( { grep -rlE --include='*.ml' --include='*.mli' "$$pat" $$src; \
+	    { ls $$dir/*.ml $$dir/*.mli; grep -rlE --include='*.ml' "\bopen!? $$L\b" $$src; } \
+	      | xargs grep -lE "(^|[^.[:alnum:]_])$$M\."; } | grep -v "^$$dir/$$m\.mli\?$$"); \
+	  [ -z "$$users" ] && orphans="$$orphans $$L.$$M"; \
+	done; \
+	if [ -n "$$orphans" ]; then echo "reached only from test/:$$orphans"; exit 1; fi; \
+	echo "check-reach OK"
 
 test: check
 

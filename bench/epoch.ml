@@ -29,6 +29,19 @@ type cli = {
   mutable determinism_only : bool;
 }
 
+let usage =
+  "usage: epoch.exe [--scale quick|standard|stress] [--seed INT] [--epochs INT] [--out FILE] \
+   [--determinism-only]"
+
+let die msg =
+  prerr_endline ("bench/epoch: " ^ msg ^ "; " ^ usage);
+  exit 2
+
+let int_arg flag v =
+  match int_of_string_opt v with
+  | Some i -> i
+  | None -> die (Printf.sprintf "%s wants an integer, got %S" flag v)
+
 let cli = { scale = "stress"; seed = 1; epochs = 1; out = "BENCH_epoch.json"; determinism_only = false }
 
 let () =
@@ -38,10 +51,10 @@ let () =
         cli.scale <- v;
         parse rest
     | "--seed" :: v :: rest ->
-        cli.seed <- int_of_string v;
+        cli.seed <- int_arg "--seed" v;
         parse rest
     | "--epochs" :: v :: rest ->
-        cli.epochs <- int_of_string v;
+        cli.epochs <- int_arg "--epochs" v;
         parse rest
     | "--out" :: v :: rest ->
         cli.out <- v;
@@ -49,7 +62,7 @@ let () =
     | "--determinism-only" :: rest ->
         cli.determinism_only <- true;
         parse rest
-    | arg :: _ -> failwith ("bench/epoch: unknown argument " ^ arg)
+    | arg :: _ -> die ("unknown argument " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv))
 
@@ -62,7 +75,7 @@ let advance_ns, build_ns =
   | "quick" -> ([ 256; 512 ], [ 16384; 32768 ])
   | "standard" -> ([ 512; 1024; 2048 ], [ 65536; 131072 ])
   | "stress" -> ([ 1024; 2048; 4096 ], [ 131072; 262144; 524288 ])
-  | other -> failwith ("bench/epoch: unknown scale " ^ other)
+  | other -> die ("unknown scale " ^ other)
 
 let time f =
   let t0 = Unix.gettimeofday () in

@@ -212,6 +212,12 @@ let print_baseline_literal passes =
     ops;
   Printf.printf "  ]\n%!"
 
+let usage = "usage: hotpath.exe [--out FILE] [--no-e2e] [--capture] [--reps INT]"
+
+let die msg =
+  prerr_endline ("bench/hotpath: " ^ msg ^ "; " ^ usage);
+  exit 2
+
 let () =
   let out = ref "BENCH_hotpath.json" in
   let e2e = ref true in
@@ -229,9 +235,11 @@ let () =
         capture := true;
         go rest
     | "--reps" :: n :: rest ->
-        reps := max 1 (int_of_string n);
+        (match int_of_string_opt n with
+        | Some r -> reps := max 1 r
+        | None -> die (Printf.sprintf "--reps wants an integer, got %S" n));
         go rest
-    | arg :: _ -> failwith ("unknown argument: " ^ arg)
+    | arg :: _ -> die ("unknown argument " ^ arg)
   in
   go (List.tl (Array.to_list Sys.argv));
   Printf.printf "== hot-path benches (quick scale, jobs 1)\n%!";

@@ -1,5 +1,5 @@
 (* The benchmark harness: regenerates every table/figure-equivalent of
-   the paper (E0-E22, F1; see DESIGN.md §4 and EXPERIMENTS.md) and
+   the paper (E0-E26, F1; see DESIGN.md §4 and EXPERIMENTS.md) and
    runs the Bechamel timing benches (B0-B7). The experiment list
    itself lives in Experiments.Registry — this file only drives it.
 
@@ -16,6 +16,19 @@
    the two wall-clocks (plus an output-equality check) are written to
    BENCH_parallel.json. *)
 
+let usage =
+  "usage: main.exe [--scale quick|standard|full|stress] [--only ID,...] [--seed INT] \
+   [--jobs N>=1] [--csv DIR] [--skip-timings] [--verbose]"
+
+let die msg =
+  prerr_endline ("bench/main: " ^ msg ^ "; " ^ usage);
+  exit 2
+
+let int_arg flag v =
+  match int_of_string_opt v with
+  | Some i -> i
+  | None -> die (Printf.sprintf "%s wants an integer, got %S" flag v)
+
 let parse_args () =
   let scale = ref Experiments.Scale.Standard in
   let only = ref None in
@@ -29,17 +42,17 @@ let parse_args () =
     | "--scale" :: v :: rest ->
         (match Experiments.Scale.of_string v with
         | Some s -> scale := s
-        | None -> failwith ("unknown scale: " ^ v));
+        | None -> die ("unknown scale " ^ v));
         go rest
     | "--only" :: v :: rest ->
         only := Some (String.split_on_char ',' (String.lowercase_ascii v));
         go rest
     | "--seed" :: v :: rest ->
-        seed := int_of_string v;
+        seed := int_arg "--seed" v;
         go rest
     | "--jobs" :: v :: rest ->
-        let j = int_of_string v in
-        if j < 1 then failwith "--jobs must be >= 1";
+        let j = int_arg "--jobs" v in
+        if j < 1 then die "--jobs must be >= 1";
         jobs := j;
         go rest
     | "--csv" :: dir :: rest ->
@@ -51,7 +64,7 @@ let parse_args () =
     | "--verbose" :: rest ->
         verbose := true;
         go rest
-    | arg :: _ -> failwith ("unknown argument: " ^ arg)
+    | arg :: _ -> die ("unknown argument " ^ arg)
   in
   go (List.tl (Array.to_list Sys.argv));
   (!scale, !only, !skip_timings, !seed, !csv_dir, !verbose, !jobs)

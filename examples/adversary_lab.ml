@@ -107,8 +107,8 @@ let () =
   Printf.printf
     "  %d bogus membership requests fired; %d accepted (unverified: all %d land).\n"
     attempts !landed attempts;
-  Printf.printf "  defence: victims re-derive every request by search (Lemma 10, E14);\n";
-  Printf.printf "  repeat offenders get quarantined on top (footnote 2).\n";
+  Printf.printf "  defence: victims re-derive every request by search (Lemma 10, E14),\n";
+  Printf.printf "  so a request lands only when a verification search is hijacked.\n";
 
   (* 5. Reply forgery. *)
   banner "5. reply forgery during secure search";

@@ -1,6 +1,6 @@
 (** The canonical experiment registry.
 
-    One entry per reproduction artifact (E0-E21 and the Figure 1
+    One entry per reproduction artifact (E0-E26 and the Figure 1
     trace). Both drivers — the benchmark harness and the Cmdliner CLI
     — iterate {!all} rather than keeping their own lists, so adding
     an experiment here is the only step needed to surface it

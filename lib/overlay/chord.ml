@@ -23,7 +23,7 @@ let neighbors_of ring w =
   in
   List.sort_uniq Point.compare with_pred
 
-let make ring =
+let rec make ring =
   if Ring.cardinal ring = 0 then invalid_arg "Chord.make: empty ring";
   (* Neighbour memo indexed by ring rank — a flat array instead of a
      boxed-int64 hash table. Off-ring queries (rare; e.g. a probe for
@@ -96,4 +96,11 @@ let make ring =
       go src [ src ] 0
     end
   in
-  { Overlay_intf.name = "chord"; ring; neighbors; route; max_hops }
+  {
+    Overlay_intf.ring;
+    neighbors;
+    neighbors_in = neighbors_of;
+    route;
+    max_hops;
+    rebuild = make;
+  }

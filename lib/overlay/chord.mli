@@ -17,10 +17,3 @@ val make : Ring.t -> Overlay_intf.t
 val fingers : Ring.t -> Point.t -> Point.t list
 (** The raw finger list of one ID (deduplicated, excludes the ID
     itself); exposed for tests. *)
-
-val neighbors_of : Ring.t -> Point.t -> Point.t list
-(** One ID's neighbour list (fingers plus ring predecessor), computed
-    directly against [ring] with no memo — value-identical to what a
-    {!make} view answers. Batched membership changes query growing
-    ring states through this instead of rebuilding a memoised view
-    per change. *)

@@ -1,10 +1,8 @@
 open Idspace
 
-(* Chord++ shares Chord's linking rule; only routing differs. *)
-let neighbors_of = Chord.neighbors_of
-
-let make ?(salt = 0) ring =
+let rec make ?(salt = 0) ring =
   if Ring.cardinal ring = 0 then invalid_arg "Chord_pp.make: empty ring";
+  (* Chord++ shares Chord's linking rule; only routing differs. *)
   let base = Chord.make ring in
   let neighbors = base.Overlay_intf.neighbors in
   let n = Ring.cardinal ring in
@@ -74,9 +72,8 @@ let make ?(salt = 0) ring =
     end
   in
   {
-    Overlay_intf.name = "chord++";
-    ring;
-    neighbors;
-    route;
+    base with
+    Overlay_intf.route;
     max_hops = base.Overlay_intf.max_hops * 2;
+    rebuild = make ~salt;
   }

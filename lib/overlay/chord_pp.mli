@@ -23,8 +23,5 @@ open Idspace
 val make : ?salt:int -> Ring.t -> Overlay_intf.t
 (** [make ~salt ring]: views with different salts share the linking
     rule (and therefore verification) but route along different
-    near-greedy paths. Default salt 0. *)
-
-val neighbors_of : Ring.t -> Point.t -> Point.t list
-(** Alias of {!Chord.neighbors_of}: Chord++ shares Chord's linking
-    rule, so its memo-free neighbour query is the same function. *)
+    near-greedy paths. Default salt 0. The view's [rebuild] keeps
+    [salt]. *)

@@ -51,7 +51,7 @@ let neighbors_of ring w =
     (fun u -> not (Point.equal u w))
     (List.sort_uniq Point.compare (pred :: succ :: image_nodes))
 
-let make ring =
+let rec make ring =
   let n = Ring.cardinal ring in
   if n = 0 then invalid_arg "Debruijn.make: empty ring";
   (* Rank-indexed neighbour memo (see {!Chord.make}). *)
@@ -110,4 +110,11 @@ let make ring =
       List.rev !path
     end
   in
-  { Overlay_intf.name = "debruijn"; ring; neighbors; route; max_hops = steps + 4 }
+  {
+    Overlay_intf.ring;
+    neighbors;
+    neighbors_in = neighbors_of;
+    route;
+    max_hops = steps + 4;
+    rebuild = make;
+  }

@@ -18,8 +18,3 @@ val make : Ring.t -> Overlay_intf.t
 val halving_steps : int -> int
 (** Number of halving steps used for a ring of [n] IDs; exposed for
     tests. *)
-
-val neighbors_of : Ring.t -> Point.t -> Point.t list
-(** One ID's neighbour list, computed directly against [ring] with no
-    memo — value-identical to what a {!make} view answers. See
-    {!Chord.neighbors_of}. *)

@@ -18,22 +18,32 @@
 
     Values of this type are pure views over an immutable
     {!Idspace.Ring.t}: rebuilding after churn means building a fresh
-    value, mirroring the paper's epoch-based reconstruction. *)
+    value, mirroring the paper's epoch-based reconstruction. Each view
+    carries its own [rebuild], so churn keeps the construction and its
+    parameters (e.g. a Chord++ salt) without knowing which one it is. *)
 
 open Idspace
 
 type t = {
-  name : string;  (** Construction name, e.g. ["chord"]. *)
   ring : Ring.t;  (** The ID population the graph is built over. *)
   neighbors : Point.t -> Point.t list;
       (** [neighbors id] is [S_id]: the linking rule applied to [id].
           Deterministic in [ring]; duplicates removed; never contains
           [id] itself unless the ring is a singleton. *)
+  neighbors_in : Ring.t -> Point.t -> Point.t list;
+      (** [neighbors_in ring' id] applies the same linking rule against
+          an arbitrary [ring'], with no memo — value-identical to
+          [(rebuild ring').neighbors id]. Batched membership changes
+          query growing ring states through this instead of rebuilding
+          a memoised view per change. *)
   route : src:Point.t -> key:Point.t -> Point.t list;
       (** [route ~src ~key] is the inclusive search path from [src] to
           [suc key]. Every consecutive pair is a (directed) neighbour
           link. *)
   max_hops : int;  (** Upper bound on path length (diameter proxy). *)
+  rebuild : Ring.t -> t;
+      (** [rebuild ring'] is the same construction, with the same
+          parameters, over [ring']: the reconstruction after churn. *)
 }
 
 let responsible t key = Ring.successor_exn t.ring key

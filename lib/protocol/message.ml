@@ -16,26 +16,9 @@ type search_reply = {
   responder_count : int;
 }
 
-type store_write = {
-  wname : string;
-  wversion : int;
-  wvalue : string;
-}
-
-type store_read = { rname : string }
-
-type store_vote = {
-  vname : string;
-  vstate : (int * string) option;
-  voter : Point.t;
-}
-
 type t =
   | Search_request of search_request
   | Search_reply of search_reply
-  | Store_write of store_write
-  | Store_read of store_read
-  | Store_vote of store_vote
 
 let pp fmt = function
   | Search_request r ->
@@ -44,10 +27,3 @@ let pp fmt = function
   | Search_reply r ->
       Format.fprintf fmt "reply#%d responsible=%a (of %d)" r.qid Point.pp r.responsible
         r.responder_count
-  | Store_write w -> Format.fprintf fmt "write %s v%d" w.wname w.wversion
-  | Store_read r -> Format.fprintf fmt "read %s" r.rname
-  | Store_vote v ->
-      Format.fprintf fmt "vote %s from %a: %s" v.vname Point.pp v.voter
-        (match v.vstate with
-        | Some (ver, _) -> Printf.sprintf "v%d" ver
-        | None -> "none")

@@ -38,25 +38,8 @@ type search_reply = {
   responder_count : int;  (** Size of the answering group. *)
 }
 
-type store_write = {
-  wname : string;
-  wversion : int;
-  wvalue : string;
-}
-
-type store_read = { rname : string }
-
-type store_vote = {
-  vname : string;
-  vstate : (int * string) option;  (** (version, value); [None] = not held. *)
-  voter : Point.t;
-}
-
 type t =
   | Search_request of search_request
   | Search_reply of search_reply
-  | Store_write of store_write
-  | Store_read of store_read
-  | Store_vote of store_vote
 
 val pp : Format.formatter -> t -> unit

@@ -61,9 +61,7 @@ let run_search rng g ~latency ~behaviour ~src ~key ?(deadline = 60_000)
         in
         b.count <- b.count + 1;
         b.arrivals <- now :: b.arrivals
-    | Message.Search_reply _ | Message.Search_request _ | Message.Store_write _
-    | Message.Store_read _ | Message.Store_vote _ ->
-        ()
+    | Message.Search_reply _ | Message.Search_request _ -> ()
   in
   Network.register net client reply_handler;
   (* Member handlers. *)
@@ -112,9 +110,7 @@ let run_search rng g ~latency ~behaviour ~src ~key ?(deadline = 60_000)
     let bad = Population.is_bad pop member in
     let handler net ~now:_ msg =
       match msg with
-      | Message.Search_reply _ | Message.Store_write _ | Message.Store_read _
-      | Message.Store_vote _ ->
-          ()
+      | Message.Search_reply _ -> ()
       | Message.Search_request r when r.Message.qid <> qid -> ()
       | Message.Search_request r -> (
           (* Only act in a group we actually belong to. *)

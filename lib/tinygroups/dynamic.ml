@@ -12,38 +12,13 @@ type cost = {
   member_updates : int;
 }
 
-(* Rebuild the same overlay construction over a changed ring. Every
-   call is a full reconstruction (fresh neighbour memo), so batch
-   operations must route exactly one call through here per batch —
-   counted under [overlay.rebuilds] where a metrics table is in
-   scope, and asserted at the unit level. *)
-let rebuild_overlay (ov : Overlay.Overlay_intf.t) ring =
-  match ov.Overlay.Overlay_intf.name with
-  | "chord" -> Overlay.Chord.make ring
-  | "chord++" -> Overlay.Chord_pp.make ring
-  | "debruijn" -> Overlay.Debruijn.make ring
-  | "succ-ring" -> Overlay.Succ_ring.make ring
-  | other -> invalid_arg ("Dynamic: unknown overlay construction " ^ other)
-
-(* Memo-free neighbour query under the same construction over an
-   arbitrary ring — value-identical to what a rebuilt view would
-   answer, without the O(n) memo allocation. Batched joins query the
-   growing intermediate rings through this, which is what makes the
-   batch O(1) rebuilds instead of O(k). *)
-let neighbors_in (ov : Overlay.Overlay_intf.t) ring w =
-  match ov.Overlay.Overlay_intf.name with
-  | "chord" -> Overlay.Chord.neighbors_of ring w
-  | "chord++" -> Overlay.Chord_pp.neighbors_of ring w
-  | "debruijn" -> Overlay.Debruijn.neighbors_of ring w
-  | "succ-ring" -> Overlay.Succ_ring.neighbors_of ring w
-  | other -> invalid_arg ("Dynamic: unknown overlay construction " ^ other)
-
 (* Leaders whose finger/successor linking rule touches [id]'s arc:
    for Chord-style rules, v with v + 2^j in (pred(id), id] for some
    j, plus id's ring neighbours. The generic filter against the
    overlay's own neighbour function keeps this sound for any
-   construction (it may under-enumerate for exotic rules; Chord,
-   Chord++ and the successor ring are covered exactly). *)
+   construction (it may under-enumerate for other rules, e.g. the
+   halving links of distance halving; Chord and Chord++ are covered
+   exactly). *)
 let capture_candidates ring ~id =
   let pred = match Ring.predecessor ring id with Some p -> p | None -> id in
   let acc = ref [] in
@@ -75,7 +50,7 @@ let captured_by g ~id =
   List.filter
     (fun v ->
       Ring.mem v (Population.ring pop)
-      && List.exists (Point.equal id) (neighbors_in overlay ring v))
+      && List.exists (Point.equal id) (overlay.Overlay.Overlay_intf.neighbors_in ring v))
     (capture_candidates ring ~id)
 
 let existing_groups g =
@@ -99,7 +74,7 @@ let existing_groups g =
    (one base draw per ID, in batch order) and every per-ID draw
    sequence matches exactly; the join_many ≡ fold law in the test
    suite holds by construction. All overlay queries go through the
-   memo-free [neighbors_in], so this never rebuilds a view. *)
+   overlay's memo-free [neighbors_in], so this never rebuilds a view. *)
 let join_one rng metrics ~params ~old_pair ~member_oracle ~overlay ~prev_ring
     ~ring ~searches ~id =
   let idrng = Prng.Rng.of_subkey (Prng.Rng.bits64 rng) (Point.to_u62 id) in
@@ -133,13 +108,13 @@ let join_one rng metrics ~params ~old_pair ~member_oracle ~overlay ~prev_ring
       (fun u ->
         searches := !searches + 4;
         Membership.establish_neighbor idrng metrics old_pair ~target:u)
-      (neighbors_in overlay ring id)
+      (overlay.Overlay.Overlay_intf.neighbors_in ring id)
   in
   let captured =
     List.filter
       (fun v ->
         Ring.mem v prev_ring
-        && List.exists (Point.equal id) (neighbors_in overlay ring v))
+        && List.exists (Point.equal id) (overlay.Overlay.Overlay_intf.neighbors_in ring v))
       (capture_candidates ring ~id)
   in
   let newly_confused =
@@ -188,7 +163,7 @@ let join ?pow rng metrics g ~old_pair ~member_oracle ~id ~bad =
   let groups = (id, grp) :: existing_groups g in
   (* The single overlay reconstruction of this join. *)
   Sim.Metrics.incr metrics Sim.Metrics.overlay_rebuilds;
-  let new_overlay = rebuild_overlay (Group_graph.overlay g) new_ring in
+  let new_overlay = (Group_graph.overlay g).Overlay.Overlay_intf.rebuild new_ring in
   let g' =
     Group_graph.assemble ~params ~population:new_pop ~overlay:new_overlay ~groups
       ~confused:(List.sort_uniq Point.compare confused) ()
@@ -261,7 +236,7 @@ let join_many ?pow rng metrics g ~old_pair ~member_oracle ~ids =
     let new_pop = Population.add_batch pop0 ~good ~bad in
     (* The single overlay reconstruction of the whole batch. *)
     Sim.Metrics.incr metrics Sim.Metrics.overlay_rebuilds;
-    let new_overlay = rebuild_overlay overlay0 (Population.ring new_pop) in
+    let new_overlay = overlay0.Overlay.Overlay_intf.rebuild (Population.ring new_pop) in
     let confused =
       List.sort_uniq Point.compare (!new_confused @ Group_graph.confused_leaders g)
     in
@@ -301,7 +276,7 @@ let depart g ~id =
   in
   let new_pop = Population.remove pop id in
   let new_ring = Population.ring new_pop in
-  let new_overlay = rebuild_overlay (Group_graph.overlay g) new_ring in
+  let new_overlay = (Group_graph.overlay g).Overlay.Overlay_intf.rebuild new_ring in
   let n_hint = Population.n new_pop in
   (* Groups containing the departing ID lose a member. *)
   let member_updates = ref 0 in
@@ -369,7 +344,7 @@ let depart_many g ~ids =
        batch — the point of batching; the per-ID fold pays both k
        times. *)
     let new_pop = Population.remove_batch pop ids in
-    let new_overlay = rebuild_overlay overlay0 (Population.ring new_pop) in
+    let new_overlay = overlay0.Overlay.Overlay_intf.rebuild (Population.ring new_pop) in
     (* Replay the membership drops exactly as the one-at-a-time fold
        would: the drop for the j-th departure classifies against
        n_hint = n - j - 1, and departed leaders leave the (ascending)

@@ -1,4 +1,4 @@
-(* Ben-Or randomized agreement and the multi-valued phase king. *)
+(* Ben-Or randomized agreement, cross-checked against Phase King. *)
 
 let rng = Prng.Rng.create 1999
 
@@ -82,83 +82,6 @@ let test_benor_bound () =
   Alcotest.(check bool) "5t < g" true (Agreement.Benor.tolerates ~g:11 ~t:2);
   Alcotest.(check bool) "5t = g fails" false (Agreement.Benor.tolerates ~g:10 ~t:2)
 
-(* Multi-valued agreement. *)
-
-let silent_forge ~sender:_ ~recipient:_ ~round:_ = None
-
-let equivocating_forge values ~sender:_ ~recipient ~round:_ =
-  Some values.(recipient mod Array.length values)
-
-let test_multivalued_validity () =
-  let g = 9 in
-  let byzantine = Array.init g (fun i -> i >= g - 2) in
-  let inputs = Array.map (fun b -> if b then "evil" else "answer-42") byzantine in
-  let o =
-    Agreement.Multivalued.run ~inputs ~byzantine
-      ~forge:(equivocating_forge [| "x"; "y"; "z" |])
-  in
-  Array.iteri
-    (fun i d ->
-      if not byzantine.(i) then
-        Alcotest.(check (option string)) "unanimous value wins" (Some "answer-42") d)
-    o.Agreement.Multivalued.decisions
-
-let test_multivalued_agreement_random_inputs () =
-  for trial = 1 to 30 do
-    let g = 13 in
-    let t = 3 in
-    Alcotest.(check bool) "bound" true (Agreement.Multivalued.tolerates ~g ~t);
-    let byzantine = Array.init g (fun i -> i < t) in
-    Prng.Rng.shuffle rng byzantine;
-    let inputs =
-      Array.init g (fun i -> Printf.sprintf "v%d" ((i + trial) mod 4))
-    in
-    let o =
-      Agreement.Multivalued.run ~inputs ~byzantine
-        ~forge:(equivocating_forge [| "a"; "b"; "c"; "d" |])
-    in
-    let decided = ref [] in
-    Array.iteri
-      (fun i d ->
-        match d with
-        | Some v when not byzantine.(i) -> decided := v :: !decided
-        | _ -> ())
-      o.Agreement.Multivalued.decisions;
-    match !decided with
-    | [] -> Alcotest.fail "no decisions"
-    | first :: rest ->
-        List.iter (fun v -> Alcotest.(check string) "agreement" first v) rest
-  done
-
-let test_multivalued_silent_faults () =
-  let g = 9 in
-  let byzantine = Array.init g (fun i -> i < 2) in
-  let inputs = Array.make g 7 in
-  let o = Agreement.Multivalued.run ~inputs ~byzantine ~forge:silent_forge in
-  Array.iteri
-    (fun i d ->
-      if not byzantine.(i) then Alcotest.(check (option int)) "silence harmless" (Some 7) d)
-    o.Agreement.Multivalued.decisions
-
-let test_multivalued_no_faults_single_phase () =
-  let g = 7 in
-  let byzantine = Array.make g false in
-  let inputs = [| 1; 1; 2; 2; 2; 3; 3 |] in
-  let o = Agreement.Multivalued.run ~inputs ~byzantine ~forge:silent_forge in
-  (* t = 0: a single phase (two rounds); plurality 2 wins everywhere. *)
-  Alcotest.(check int) "two rounds" 2 o.Agreement.Multivalued.rounds;
-  Array.iter
-    (fun d -> Alcotest.(check (option int)) "plurality" (Some 2) d)
-    o.Agreement.Multivalued.decisions
-
-let test_multivalued_message_count () =
-  let g = 8 in
-  let byzantine = Array.make g false in
-  let inputs = Array.make g "x" in
-  let o = Agreement.Multivalued.run ~inputs ~byzantine ~forge:silent_forge in
-  (* t=0: one phase = g*g (exchange) + g (king broadcast). *)
-  Alcotest.(check int) "messages" ((g * g) + g) o.Agreement.Multivalued.messages
-
 (* Cross-validation: the two binary protocols agree with each other
    on the same adversary-free instance. *)
 let test_cross_protocol_consistency () =
@@ -216,15 +139,6 @@ let () =
           Alcotest.test_case "agreement under every behaviour" `Quick test_benor_agreement;
           Alcotest.test_case "quick termination" `Slow test_benor_terminates_quickly;
           Alcotest.test_case "fault bound" `Quick test_benor_bound;
-        ] );
-      ( "multivalued",
-        [
-          Alcotest.test_case "validity" `Quick test_multivalued_validity;
-          Alcotest.test_case "agreement on random inputs" `Quick
-            test_multivalued_agreement_random_inputs;
-          Alcotest.test_case "silent faults" `Quick test_multivalued_silent_faults;
-          Alcotest.test_case "fault-free plurality" `Quick test_multivalued_no_faults_single_phase;
-          Alcotest.test_case "message count" `Quick test_multivalued_message_count;
         ] );
       ( "cross",
         [ Alcotest.test_case "protocols self-consistent" `Quick test_cross_protocol_consistency ] );

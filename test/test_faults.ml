@@ -336,7 +336,8 @@ let deliveries plan ~with_src =
             Protocol.Network.send
               ?src:(if with_src then Some src else None)
               net ~to_:dst
-              (Protocol.Message.Store_read { rname = "x" }))
+              (Protocol.Message.Search_reply
+                 { qid = 0; responsible = pt 0; responder_count = 1 }))
         ids)
     ids;
   Protocol.Network.run net;

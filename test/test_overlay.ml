@@ -1,6 +1,6 @@
 (* Input graphs H: path validity against the linking rules (P1/P3),
    load balance (P2), congestion (P4), and construction-specific
-   behaviour for Chord, distance-halving and the successor ring. *)
+   behaviour for Chord, Chord++ and distance halving. *)
 
 open Idspace
 
@@ -19,7 +19,6 @@ let validate_paths ov n_checks =
 
 let test_chord_paths () = validate_paths (Overlay.Chord.make (mk_ring 1024)) 300
 let test_debruijn_paths () = validate_paths (Overlay.Debruijn.make (mk_ring 1024)) 300
-let test_succ_ring_paths () = validate_paths (Overlay.Succ_ring.make (mk_ring 128)) 100
 
 let test_route_ends_at_responsible () =
   let ring = mk_ring 512 in
@@ -34,7 +33,7 @@ let test_route_ends_at_responsible () =
         Alcotest.(check bool) "ends at suc(key)" true
           (Point.equal last (Ring.successor_exn ring key))
       done)
-    [ Overlay.Chord.make ring; Overlay.Debruijn.make ring; Overlay.Succ_ring.make ring ]
+    [ Overlay.Chord.make ring; Overlay.Debruijn.make ring; Overlay.Chord_pp.make ring ]
 
 let test_route_starts_at_src () =
   let ring = mk_ring 256 in
@@ -71,14 +70,6 @@ let test_debruijn_hop_bound () =
   Alcotest.(check bool)
     (Printf.sprintf "max %d small" st.max_hops)
     true (st.max_hops <= Overlay.Debruijn.halving_steps 4096 + 8)
-
-let test_succ_ring_linear_hops () =
-  let ov = Overlay.Succ_ring.make (mk_ring 128) in
-  let st = Overlay.Probe.path_lengths (Prng.Rng.split rng) ov ~searches:300 in
-  (* Mean walk is about n/2: emphatically not logarithmic. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "mean %.1f is linear-scale" st.mean_hops)
-    true (st.mean_hops > 20.)
 
 let test_chord_fingers_are_successors () =
   let ring = mk_ring 256 in
@@ -129,7 +120,23 @@ let test_neighbors_exclude_self () =
           Alcotest.(check bool) "no self loop" false
             (List.exists (Point.equal w) (ov.Overlay.Overlay_intf.neighbors w)))
         ring)
-    [ Overlay.Chord.make ring; Overlay.Debruijn.make ring; Overlay.Succ_ring.make ring ]
+    [ Overlay.Chord.make ring; Overlay.Debruijn.make ring ]
+
+(* [neighbors_in] is the memo-free form of [rebuild]'s linking rule,
+   on a ring the view was not built over. *)
+let test_neighbors_in_matches_rebuild () =
+  let ring = mk_ring 256 in
+  let ring' = Ring.add_batch (List.init 8 (fun _ -> Point.random rng)) ring in
+  List.iter
+    (fun ov ->
+      let rebuilt = ov.Overlay.Overlay_intf.rebuild ring' in
+      Ring.iter
+        (fun w ->
+          Alcotest.(check bool) "same neighbour list" true
+            (ov.Overlay.Overlay_intf.neighbors_in ring' w
+            = rebuilt.Overlay.Overlay_intf.neighbors w))
+        ring')
+    [ Overlay.Chord.make ring; Overlay.Chord_pp.make ~salt:3 ring; Overlay.Debruijn.make ring ]
 
 let test_load_balance_bounded () =
   let ov = Overlay.Chord.make (mk_ring 8192) in
@@ -289,6 +296,122 @@ let test_chord_pp_draw_parity () =
       done)
     [ 0; 1; 7 ]
 
+(* Chord++. *)
+
+let test_chordpp_paths_validate () =
+  let ring = Ring.populate (Prng.Rng.split rng) 512 in
+  let ov = Overlay.Chord_pp.make ring in
+  let members = Ring.to_sorted_array ring in
+  for _ = 1 to 200 do
+    let src = members.(Prng.Rng.int rng (Array.length members)) in
+    let key = Point.random rng in
+    let path = ov.Overlay.Overlay_intf.route ~src ~key in
+    Alcotest.(check bool) "path validates" true
+      (Overlay.Overlay_intf.path_ok ov path key)
+  done
+
+let test_chordpp_deterministic_per_salt () =
+  let ring = Ring.populate (Prng.Rng.split rng) 256 in
+  let ov1 = Overlay.Chord_pp.make ~salt:1 ring in
+  let ov1' = Overlay.Chord_pp.make ~salt:1 ring in
+  let members = Ring.to_sorted_array ring in
+  let src = members.(0) and key = Point.of_float 0.777 in
+  Alcotest.(check bool) "same salt, same path" true
+    (ov1.Overlay.Overlay_intf.route ~src ~key = ov1'.Overlay.Overlay_intf.route ~src ~key)
+
+let test_chordpp_salts_diverge () =
+  let ring = Ring.populate (Prng.Rng.split rng) 1024 in
+  let members = Ring.to_sorted_array ring in
+  let ovs = Array.init 2 (fun salt -> Overlay.Chord_pp.make ~salt ring) in
+  let diverged = ref 0 and total = ref 0 in
+  for _ = 1 to 100 do
+    let src = members.(Prng.Rng.int rng (Array.length members)) in
+    let key = Point.random rng in
+    let p0 = ovs.(0).Overlay.Overlay_intf.route ~src ~key in
+    let p1 = ovs.(1).Overlay.Overlay_intf.route ~src ~key in
+    if List.length p0 > 3 then begin
+      incr total;
+      if p0 <> p1 then incr diverged
+    end
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "salted paths diverge (%d/%d)" !diverged !total)
+    true
+    (!diverged * 2 > !total)
+
+let test_chordpp_same_linking_rule () =
+  let ring = Ring.populate (Prng.Rng.split rng) 256 in
+  let chord = Overlay.Chord.make ring in
+  let pp = Overlay.Chord_pp.make ring in
+  Ring.iter
+    (fun w ->
+      Alcotest.(check bool) "identical neighbour sets" true
+        (chord.Overlay.Overlay_intf.neighbors w = pp.Overlay.Overlay_intf.neighbors w))
+    ring
+
+let test_chordpp_hop_bound () =
+  let ring = Ring.populate (Prng.Rng.split rng) 4096 in
+  let ov = Overlay.Chord_pp.make ring in
+  let st = Overlay.Probe.path_lengths (Prng.Rng.split rng) ov ~searches:300 in
+  Alcotest.(check bool)
+    (Printf.sprintf "max %d within bound" st.Overlay.Probe.max_hops)
+    true
+    (st.Overlay.Probe.max_hops <= 40)
+
+(* Churn must keep a salted view's salt: after each of [depart],
+   [depart_many], [join] and [join_many], the graph's overlay routes
+   exactly like a fresh [Chord_pp.make ~salt] over the new ring, on a
+   fixed set of (src, key) pairs where the salt changes the route. *)
+let test_chordpp_churn_keeps_salt () =
+  let salt = 3 in
+  let pop =
+    Adversary.Population.generate (Prng.Rng.split rng) ~n:512 ~beta:0.05
+      ~strategy:Adversary.Placement.Uniform
+  in
+  let g =
+    Tinygroups.Group_graph.build_direct
+      ~params:{ Tinygroups.Params.default with beta = 0.05 }
+      ~population:pop
+      ~overlay:(Overlay.Chord_pp.make ~salt (Adversary.Population.ring pop))
+      ~member_oracle:Experiments.Common.h1 ()
+  in
+  let old_pair = Tinygroups.Membership.make_old_pair ~failure:`Majority g None in
+  let member_oracle = Hashing.Oracle.make ~system_key:"overlay-test" ~label:"h2" in
+  let metrics = Sim.Metrics.create () in
+  let keys = Array.init 200 (fun _ -> Point.random rng) in
+  let check label g' =
+    let ov = Tinygroups.Group_graph.overlay g' in
+    let ring = ov.Overlay.Overlay_intf.ring in
+    let want = Overlay.Chord_pp.make ~salt ring in
+    let unsalted = Overlay.Chord_pp.make ring in
+    let members = Ring.to_sorted_array ring in
+    let salt_matters = ref false in
+    Array.iteri
+      (fun i key ->
+        let src = members.(i * 37 mod Array.length members) in
+        let got = ov.Overlay.Overlay_intf.route ~src ~key in
+        Alcotest.(check bool) (label ^ ": same route as a fresh salted view") true
+          (got = want.Overlay.Overlay_intf.route ~src ~key);
+        if got <> unsalted.Overlay.Overlay_intf.route ~src ~key then salt_matters := true)
+      keys;
+    Alcotest.(check bool) (label ^ ": the salt changes some route") true !salt_matters
+  in
+  let leaders = Tinygroups.Group_graph.leaders g in
+  let g1, _ = Tinygroups.Dynamic.depart g ~id:leaders.(5) in
+  check "depart" g1;
+  let g2, _ = Tinygroups.Dynamic.depart_many g ~ids:[ leaders.(9); leaders.(200) ] in
+  check "depart_many" g2;
+  let g3, _ =
+    Tinygroups.Dynamic.join (Prng.Rng.split rng) metrics g ~old_pair ~member_oracle
+      ~id:(Point.of_float 0.123456789) ~bad:false
+  in
+  check "join" g3;
+  let g4, _ =
+    Tinygroups.Dynamic.join_many (Prng.Rng.split rng) metrics g ~old_pair ~member_oracle
+      ~ids:[ (Point.of_float 0.31415926, false); (Point.of_float 0.8675309, true) ]
+  in
+  check "join_many" g4
+
 let () =
   Alcotest.run "overlay"
     [
@@ -296,7 +419,6 @@ let () =
         [
           Alcotest.test_case "chord paths validate" `Quick test_chord_paths;
           Alcotest.test_case "debruijn paths validate" `Quick test_debruijn_paths;
-          Alcotest.test_case "succ-ring paths validate" `Quick test_succ_ring_paths;
           Alcotest.test_case "routes end at responsible ID" `Quick test_route_ends_at_responsible;
           Alcotest.test_case "routes start at source" `Quick test_route_starts_at_src;
           Alcotest.test_case "self route" `Quick test_self_route;
@@ -305,7 +427,6 @@ let () =
         [
           Alcotest.test_case "chord O(log n) hops" `Quick test_chord_log_hops;
           Alcotest.test_case "debruijn hop bound" `Quick test_debruijn_hop_bound;
-          Alcotest.test_case "succ-ring is linear" `Quick test_succ_ring_linear_hops;
           Alcotest.test_case "chord degree ~ lg n" `Quick test_chord_degree_logarithmic;
           Alcotest.test_case "debruijn O(1) degree" `Slow test_debruijn_constant_degree;
           Alcotest.test_case "load balance (P2)" `Slow test_load_balance_bounded;
@@ -315,8 +436,19 @@ let () =
         [
           Alcotest.test_case "fingers verifiable (P3)" `Quick test_chord_fingers_are_successors;
           Alcotest.test_case "no self loops" `Quick test_neighbors_exclude_self;
+          Alcotest.test_case "neighbors_in = rebuild's neighbors" `Quick
+            test_neighbors_in_matches_rebuild;
           Alcotest.test_case "forged paths rejected" `Quick test_is_neighbor_and_path_ok_reject;
           Alcotest.test_case "empty ring rejected" `Quick test_empty_ring_rejected;
+        ] );
+      ( "chord++",
+        [
+          Alcotest.test_case "paths validate" `Quick test_chordpp_paths_validate;
+          Alcotest.test_case "deterministic per salt" `Quick test_chordpp_deterministic_per_salt;
+          Alcotest.test_case "salts diverge" `Quick test_chordpp_salts_diverge;
+          Alcotest.test_case "same linking rule" `Quick test_chordpp_same_linking_rule;
+          Alcotest.test_case "hop bound" `Quick test_chordpp_hop_bound;
+          Alcotest.test_case "churn keeps the salt" `Quick test_chordpp_churn_keeps_salt;
         ] );
       ( "chord++-coins",
         [

@@ -148,96 +148,6 @@ let test_search_deterministic () =
   Alcotest.(check int) "same messages" o1.messages o2.messages;
   Alcotest.(check int) "same latency" o1.latency_ms o2.latency_ms
 
-(* Wire-level replicated storage. *)
-
-let mk_store ?(n = 256) ?(beta = 0.05) ?(behaviour = Protocol.Secure_search.Colluding) () =
-  let g = build ~n ~beta () in
-  ( g,
-    Protocol.Replicated_store.create (Prng.Rng.split rng) g ~latency ~behaviour )
-
-let test_store_put_get_roundtrip () =
-  let g, store = mk_store ~beta:0.0 () in
-  let client = (Tinygroups.Group_graph.leaders g).(0) in
-  (match Protocol.Replicated_store.put store ~client ~name:"wire" ~value:"payload" with
-  | Protocol.Replicated_store.Put_ok { version; replicas; stats } ->
-      Alcotest.(check int) "version 1" 1 version;
-      Alcotest.(check bool) "replicated widely" true (replicas >= 3);
-      Alcotest.(check bool) "cost counted" true
-        (stats.Protocol.Replicated_store.messages > 0
-        && stats.Protocol.Replicated_store.latency_ms > 0)
-  | Protocol.Replicated_store.Put_blocked -> Alcotest.fail "no adversary, no blocking");
-  match Protocol.Replicated_store.get store ~client ~name:"wire" with
-  | Protocol.Replicated_store.Get_ok { value; version; _ } ->
-      Alcotest.(check string) "roundtrip" "payload" value;
-      Alcotest.(check int) "version" 1 version
-  | _ -> Alcotest.fail "expected the record back"
-
-let test_store_member_state_is_real () =
-  let g, store = mk_store ~beta:0.0 () in
-  let client = (Tinygroups.Group_graph.leaders g).(1) in
-  ignore (Protocol.Replicated_store.put store ~client ~name:"solid" ~value:"v");
-  (* Every member of the home group physically holds the bytes. *)
-  let key_home =
-    (* The home is where a fresh get resolves; recover it by reading. *)
-    match Protocol.Replicated_store.get store ~client ~name:"solid" with
-    | Protocol.Replicated_store.Get_ok _ -> ()
-    | _ -> Alcotest.fail "stored record must read back"
-  in
-  ignore key_home;
-  let holders = ref 0 in
-  Array.iter
-    (fun w ->
-      let grp = Tinygroups.Group_graph.group_of g w in
-      Array.iter
-        (fun m ->
-          match Protocol.Replicated_store.member_holds store ~member:m ~name:"solid" with
-          | Some (1, "v") -> incr holders
-          | Some _ -> Alcotest.fail "wrong bytes stored"
-          | None -> ())
-        grp.Tinygroups.Group.members)
-    (Tinygroups.Group_graph.leaders g);
-  Alcotest.(check bool) (Printf.sprintf "members hold replicas (%d)" !holders) true
-    (!holders >= 3)
-
-let test_store_get_missing () =
-  let g, store = mk_store ~beta:0.0 () in
-  let client = (Tinygroups.Group_graph.leaders g).(2) in
-  match Protocol.Replicated_store.get store ~client ~name:"ghost" with
-  | Protocol.Replicated_store.Get_not_found _ -> ()
-  | _ -> Alcotest.fail "expected Not_found"
-
-let test_store_forgeries_outvoted () =
-  let g, store = mk_store ~n:512 ~beta:0.08 () in
-  let leaders = Tinygroups.Group_graph.leaders g in
-  let ok = ref 0 and total = 30 in
-  for i = 0 to total - 1 do
-    let client = leaders.(Prng.Rng.int rng (Array.length leaders)) in
-    let name = Printf.sprintf "doc%d" i in
-    match Protocol.Replicated_store.put store ~client ~name ~value:"true-bytes" with
-    | Protocol.Replicated_store.Put_blocked -> ()
-    | Protocol.Replicated_store.Put_ok _ -> (
-        match Protocol.Replicated_store.get store ~client ~name with
-        | Protocol.Replicated_store.Get_ok { value; _ } when String.equal value "true-bytes"
-          ->
-            incr ok
-        | _ -> ())
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "reads survive forging members (%d/%d)" !ok total)
-    true
-    (!ok >= total - 2)
-
-let test_store_versions_monotone () =
-  let g, store = mk_store ~beta:0.0 () in
-  let client = (Tinygroups.Group_graph.leaders g).(3) in
-  ignore (Protocol.Replicated_store.put store ~client ~name:"v" ~value:"one");
-  ignore (Protocol.Replicated_store.put store ~client ~name:"v" ~value:"two");
-  match Protocol.Replicated_store.get store ~client ~name:"v" with
-  | Protocol.Replicated_store.Get_ok { value; version; _ } ->
-      Alcotest.(check string) "latest" "two" value;
-      Alcotest.(check bool) "version advanced" true (version >= 2)
-  | _ -> Alcotest.fail "expected the record"
-
 let () =
   Alcotest.run "protocol"
     [
@@ -257,13 +167,5 @@ let () =
             test_search_colluding_cannot_beat_successor_rule;
           Alcotest.test_case "blocked searches time out" `Slow test_search_timeout_when_blocked;
           Alcotest.test_case "deterministic replay" `Quick test_search_deterministic;
-        ] );
-      ( "replicated-store",
-        [
-          Alcotest.test_case "put/get over the wire" `Quick test_store_put_get_roundtrip;
-          Alcotest.test_case "member state is real" `Quick test_store_member_state_is_real;
-          Alcotest.test_case "missing record" `Quick test_store_get_missing;
-          Alcotest.test_case "forgeries outvoted" `Slow test_store_forgeries_outvoted;
-          Alcotest.test_case "versions monotone" `Quick test_store_versions_monotone;
         ] );
     ]

@@ -223,7 +223,9 @@ let test_budget_recovers_deliveries () =
     List.iter
       (fun dst ->
         for _ = 1 to 20 do
-          Protocol.Network.send net ~to_:dst (Protocol.Message.Store_read { rname = "x" })
+          Protocol.Network.send net ~to_:dst
+            (Protocol.Message.Search_reply
+               { qid = 0; responsible = pt 0; responder_count = 1 })
         done)
       ids;
     Protocol.Network.run net;
