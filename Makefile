@@ -1,4 +1,4 @@
-.PHONY: all check check-seeds check-reach test bench bench-quick bench-hotpath bench-hotpath-capture bench-serve bench-scale bench-epoch bench-epoch-quick bench-pow bench-pow-quick regen-goldens fmt clean
+.PHONY: all check check-seeds check-reach test perf bench bench-quick bench-hotpath bench-hotpath-capture bench-serve bench-scale bench-epoch bench-epoch-quick bench-pow bench-pow-quick regen-goldens fmt clean
 
 all:
 	dune build
@@ -46,6 +46,19 @@ check-reach:
 	echo "check-reach OK"
 
 test: check
+
+# The repo benchmark: every workload BENCHMARK.json declares, in
+# sequence, through perfbench/run.py at seed SEED for SECONDS seconds
+# each. Each run prints its metrics and writes its record to
+# perfbench/out/<workload>-seed<SEED>-trace0.json. Budget ~4 min at
+# the default 20 s on a 2-core host.
+SEED ?= 1
+SECONDS ?= 20
+perf:
+	@for w in $$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+	  echo "== perfbench: $$w (seed $(SEED), $(SECONDS) s)"; \
+	  python3 perfbench/run.py --workload $$w --seed $(SEED) --seconds $(SECONDS) || exit 1; \
+	done
 
 bench:
 	dune exec bench/main.exe

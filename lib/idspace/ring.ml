@@ -1,20 +1,34 @@
-(* Immutable sorted-array snapshot of the ID population.
+(* Immutable snapshot of the ID population: a compact sorted base plus
+   a small sorted delta of added points.
 
-   Two parallel arrays: the points themselves (sorted ascending, so
-   rank k is the k-th ID clockwise from 0) and their native-int keys.
-   Every query is a binary search over the unboxed key array — no
-   pointer chasing, no boxed comparisons — and [random_member] is one
-   array index. Churn produces a fresh snapshot by merging (O(n)),
-   which the per-event [Dynamic] costs already dominate. *)
+   The base is two parallel arrays: the points themselves (sorted
+   ascending, so rank k is the k-th ID clockwise from 0) and their
+   native-int keys. Every query is a binary search over the unboxed
+   key array — no pointer chasing, no boxed comparisons — and on a
+   compact ring [random_member] is one array index.
+
+   [add] copies only the delta: the points added since the last
+   compaction, each with its rank in the merged order. Once the delta
+   holds about √n points it is folded into the base in one O(n) merge,
+   so k single adds cost O(k √n) instead of the O(k n) of copying the
+   whole snapshot each time. Every other constructor returns a compact
+   ring (empty delta). A query searches both sides, O(log n + log √n);
+   on a compact ring the delta search returns at once. *)
 
 type t = {
-  pts : Point.t array;  (* sorted ascending, distinct *)
+  pts : Point.t array;  (* base, sorted ascending, distinct *)
   keys : int array;  (* Point.to_key pts.(i), same order *)
+  dpts : Point.t array;  (* delta: sorted ascending, disjoint from pts *)
+  dkeys : int array;  (* Point.to_key dpts.(j) *)
+  dranks : int array;
+      (* merged rank of dpts.(j): the base points below it plus j *)
 }
 
-let empty = { pts = [||]; keys = [||] }
+let compact pts keys = { pts; keys; dpts = [||]; dkeys = [||]; dranks = [||] }
 
-let of_sorted_distinct pts = { pts; keys = Array.map Point.to_key pts }
+let empty = compact [||] [||]
+
+let of_sorted_distinct pts = compact pts (Array.map Point.to_key pts)
 
 let of_list ps =
   match List.sort_uniq Point.compare ps with
@@ -23,7 +37,7 @@ let of_list ps =
 
 let of_array ps = of_list (Array.to_list ps)
 
-let cardinal t = Array.length t.pts
+let cardinal t = Array.length t.pts + Array.length t.dpts
 
 (* First index whose key is >= k; [Array.length keys] when none. *)
 let lower_bound keys k =
@@ -43,41 +57,93 @@ let upper_bound keys k =
   done;
   !lo
 
+let mem_keys keys k =
+  let i = lower_bound keys k in
+  i < Array.length keys && Array.unsafe_get keys i = k
+
 let mem p t =
   let k = Point.to_key p in
-  let i = lower_bound t.keys k in
-  i < Array.length t.keys && Array.unsafe_get t.keys i = k
+  mem_keys t.keys k || mem_keys t.dkeys k
+
+(* The point at merged position [i + j], where [i] base points and [j]
+   delta points precede it (wrapping to position 0 past the end). *)
+let rec at_split t i j =
+  let nb = Array.length t.pts and nd = Array.length t.dpts in
+  if i = nb && j = nd then at_split t 0 0
+  else if j = nd || (i < nb && Array.unsafe_get t.keys i < Array.unsafe_get t.dkeys j)
+  then Array.unsafe_get t.pts i
+  else Array.unsafe_get t.dpts j
+
+(* The point just before merged position [i + j] (wrapping to the
+   last point before position 0). *)
+let rec before_split t i j =
+  if i = 0 && j = 0 then before_split t (Array.length t.pts) (Array.length t.dpts)
+  else if j = 0 || (i > 0 && Array.unsafe_get t.keys (i - 1) > Array.unsafe_get t.dkeys (j - 1))
+  then Array.unsafe_get t.pts (i - 1)
+  else Array.unsafe_get t.dpts (j - 1)
+
+(* Base and delta merged into one compact ring, the delta ranks giving
+   every point's slot directly. *)
+let fold_delta t =
+  let n = cardinal t and nd = Array.length t.dpts in
+  let pts = Array.make n Point.zero and keys = Array.make n 0 in
+  let j = ref 0 in
+  for r = 0 to n - 1 do
+    if !j < nd && Array.unsafe_get t.dranks !j = r then begin
+      Array.unsafe_set pts r (Array.unsafe_get t.dpts !j);
+      Array.unsafe_set keys r (Array.unsafe_get t.dkeys !j);
+      incr j
+    end
+    else begin
+      Array.unsafe_set pts r (Array.unsafe_get t.pts (r - !j));
+      Array.unsafe_set keys r (Array.unsafe_get t.keys (r - !j))
+    end
+  done;
+  compact pts keys
+
+let compacted t = if Array.length t.dpts = 0 then t else fold_delta t
 
 let add p t =
   let k = Point.to_key p in
-  let n = Array.length t.pts in
+  let nb = Array.length t.pts and nd = Array.length t.dpts in
   let i = lower_bound t.keys k in
-  if i < n && t.keys.(i) = k then t
-  else begin
-    let pts = Array.make (n + 1) p and keys = Array.make (n + 1) k in
-    Array.blit t.pts 0 pts 0 i;
-    Array.blit t.keys 0 keys 0 i;
-    Array.blit t.pts i pts (i + 1) (n - i);
-    Array.blit t.keys i keys (i + 1) (n - i);
-    { pts; keys }
-  end
+  if i < nb && Array.unsafe_get t.keys i = k then t
+  else
+    let j = lower_bound t.dkeys k in
+    if j < nd && Array.unsafe_get t.dkeys j = k then t
+    else begin
+      let insert a x =
+        let b = Array.make (nd + 1) x in
+        Array.blit a 0 b 0 j;
+        Array.blit a j b (j + 1) (nd - j);
+        b
+      in
+      let dranks = insert t.dranks (i + j) in
+      for q = j + 1 to nd do
+        Array.unsafe_set dranks q (Array.unsafe_get dranks q + 1)
+      done;
+      let t = { t with dpts = insert t.dpts p; dkeys = insert t.dkeys k; dranks } in
+      (* Fold once the delta holds about sqrt n points. *)
+      if (nd + 1) * (nd + 1) >= nb + nd + 1 then fold_delta t else t
+    end
 
 let remove p t =
-  let k = Point.to_key p in
-  let n = Array.length t.pts in
-  let i = lower_bound t.keys k in
-  if i >= n || t.keys.(i) <> k then t
-  else if n = 1 then empty
+  if not (mem p t) then t
   else
-    {
-      pts = Array.init (n - 1) (fun j -> t.pts.(if j < i then j else j + 1));
-      keys = Array.init (n - 1) (fun j -> t.keys.(if j < i then j else j + 1));
-    }
+    let t = compacted t in
+    let i = lower_bound t.keys (Point.to_key p) in
+    let n = Array.length t.pts in
+    if n = 1 then empty
+    else
+      compact
+        (Array.init (n - 1) (fun j -> t.pts.(if j < i then j else j + 1)))
+        (Array.init (n - 1) (fun j -> t.keys.(if j < i then j else j + 1)))
 
 let add_batch ps t =
   match List.sort_uniq Point.compare ps with
   | [] -> t
   | ps ->
+      let t = compacted t in
       let inc = Array.of_list ps in
       let m = Array.length inc and n = Array.length t.pts in
       let out = Array.make (n + m) inc.(0) in
@@ -116,6 +182,7 @@ let remove_batch ps t =
   match List.sort_uniq Point.compare ps with
   | [] -> t
   | ps ->
+      let t = compacted t in
       let gone = Array.of_list ps in
       let m = Array.length gone and n = Array.length t.pts in
       let out = Array.make n Point.zero in
@@ -135,39 +202,26 @@ let remove_batch ps t =
       else if !o = 0 then empty
       else of_sorted_distinct (Array.sub out 0 !o)
 
-let successor t x =
-  let n = Array.length t.pts in
-  if n = 0 then None
-  else
-    let i = lower_bound t.keys (Point.to_key x) in
-    Some (Array.unsafe_get t.pts (if i = n then 0 else i))
-
 let successor_exn t x =
-  let n = Array.length t.pts in
-  if n = 0 then raise Not_found;
-  let i = lower_bound t.keys (Point.to_key x) in
-  Array.unsafe_get t.pts (if i = n then 0 else i)
+  if cardinal t = 0 then raise Not_found;
+  let k = Point.to_key x in
+  at_split t (lower_bound t.keys k) (lower_bound t.dkeys k)
 
-let strict_successor t x =
-  let n = Array.length t.pts in
-  if n = 0 then None
-  else
-    let i = upper_bound t.keys (Point.to_key x) in
-    Some (Array.unsafe_get t.pts (if i = n then 0 else i))
+let successor t x = if cardinal t = 0 then None else Some (successor_exn t x)
 
 let strict_successor_exn t x =
-  let n = Array.length t.pts in
-  if n = 0 then raise Not_found;
-  let i = upper_bound t.keys (Point.to_key x) in
-  Array.unsafe_get t.pts (if i = n then 0 else i)
+  if cardinal t = 0 then raise Not_found;
+  let k = Point.to_key x in
+  at_split t (upper_bound t.keys k) (upper_bound t.dkeys k)
+
+let strict_successor t x = if cardinal t = 0 then None else Some (strict_successor_exn t x)
 
 let predecessor t x =
-  let n = Array.length t.pts in
-  if n = 0 then None
+  if cardinal t = 0 then None
   else
-    (* Elements strictly below x occupy [0, lower_bound x). *)
-    let i = lower_bound t.keys (Point.to_key x) in
-    Some (Array.unsafe_get t.pts (if i = 0 then n - 1 else i - 1))
+    (* Points strictly below x: [lower_bound x] of each side. *)
+    let k = Point.to_key x in
+    Some (before_split t (lower_bound t.keys k) (lower_bound t.dkeys k))
 
 let responsibility t id =
   if not (mem id t) then None
@@ -178,34 +232,53 @@ let responsibility t id =
         if Point.equal p id then Some Interval.full
         else Some (Interval.make ~from:p ~until:id)
 
-let nth t i = t.pts.(i)
+let nth t i =
+  if i < 0 || i >= cardinal t then invalid_arg "index out of bounds";
+  (* Delta points ranked below [i]; [i] is a delta point's rank or
+     the base point that many slots further down. *)
+  let j = lower_bound t.dranks i in
+  if j < Array.length t.dranks && Array.unsafe_get t.dranks j = i then
+    Array.unsafe_get t.dpts j
+  else Array.unsafe_get t.pts (i - j)
 
 let rank t p =
   let k = Point.to_key p in
-  let i = lower_bound t.keys k in
-  if i < Array.length t.keys && Array.unsafe_get t.keys i = k then i else -1
+  let i = lower_bound t.keys k and j = lower_bound t.dkeys k in
+  if i < Array.length t.keys && Array.unsafe_get t.keys i = k then i + j
+  else if j < Array.length t.dkeys && Array.unsafe_get t.dkeys j = k then
+    Array.unsafe_get t.dranks j
+  else -1
 
 let successor_rank t k =
-  let n = Array.length t.keys in
+  let n = cardinal t in
   if n = 0 then raise Not_found;
-  let i = lower_bound t.keys k in
+  let i = lower_bound t.keys k + lower_bound t.dkeys k in
   if i = n then 0 else i
 
-let to_sorted_array t = Array.copy t.pts
+let to_sorted_array t = (fold_delta t).pts
 
 let fold f t init =
   let acc = ref init in
-  for i = 0 to Array.length t.pts - 1 do
-    acc := f (Array.unsafe_get t.pts i) !acc
+  let nd = Array.length t.dpts and j = ref 0 in
+  for r = 0 to cardinal t - 1 do
+    let p =
+      if !j < nd && Array.unsafe_get t.dranks !j = r then begin
+        let p = Array.unsafe_get t.dpts !j in
+        incr j;
+        p
+      end
+      else Array.unsafe_get t.pts (r - !j)
+    in
+    acc := f p !acc
   done;
   !acc
 
-let iter f t = Array.iter f t.pts
+let iter f t = fold (fun p () -> f p) t ()
 
 let random_member rng t =
-  let n = Array.length t.pts in
+  let n = cardinal t in
   if n = 0 then invalid_arg "Ring.random_member: empty ring";
-  t.pts.(Prng.Rng.int rng n)
+  nth t (Prng.Rng.int rng n)
 
 let populate rng n =
   if n = 0 then empty

@@ -5,8 +5,11 @@
     responsibility (P2), group membership draws [suc(h1(w,i))]
     (§III-A), and Chord-style finger targets. Backed by an immutable
     sorted array with an unboxed native-int key mirror: queries are
-    cache-friendly binary searches, {!random_member} and {!nth} are
-    O(1), and churn merges batches in O(n). *)
+    cache-friendly binary searches, and churn merges batches in O(n).
+    {!add} keeps the points it adds in a small sorted delta beside the
+    array, so a run of single adds does not copy the whole snapshot
+    each time. {!random_member} and {!nth} are O(1) on a compact ring
+    and O(log √n) while a delta is pending. *)
 
 type t
 (** An immutable snapshot of the ID population. *)
@@ -17,14 +20,22 @@ val of_list : Point.t list -> t
 val of_array : Point.t array -> t
 
 val add : Point.t -> t -> t
+(** Single-point join. The new ring shares the old one's sorted array
+    and copies only the delta of points added since it was last
+    compacted: O(√n). Once the delta holds about √n points, [add]
+    folds it into a fresh array in one O(n) merge, so k adds cost
+    O(k √n) in all. Until then queries search the delta as well:
+    {!nth} becomes O(log √n) and the searches pay one more binary
+    search. Adding a present point returns the ring unchanged. *)
+
 val remove : Point.t -> t -> t
-(** Single-point churn; O(n) snapshot copy. Adding a present point or
-    removing an absent one returns the ring unchanged. *)
+(** Single-point departure: one O(n) copy into a compact ring.
+    Removing an absent point returns the ring unchanged. *)
 
 val add_batch : Point.t list -> t -> t
 (** [add_batch ps t] merges all of [ps] in one O(n + |ps| log |ps|)
-    pass — the churn-batch form of k× {!add}. Duplicates (within
-    [ps] or against [t]) are absorbed. *)
+    pass into a compact ring — the churn-batch form of k× {!add}.
+    Duplicates (within [ps] or against [t]) are absorbed. *)
 
 val remove_batch : Point.t list -> t -> t
 (** One-pass counterpart of k× {!remove}. *)
@@ -59,8 +70,9 @@ val responsibility : t -> Point.t -> Interval.t option
     ring. *)
 
 val nth : t -> int -> Point.t
-(** The ID at sorted position [i] (its {e rank}), O(1). Ranks are
-    stable for a given snapshot: [nth t (rank t p) = p]. *)
+(** The ID at sorted position [i] (its {e rank}), O(1) on a compact
+    ring. Ranks are stable for a given snapshot: [nth t (rank t p) = p].
+    @raise Invalid_argument when [i] is outside [0, cardinal t). *)
 
 val rank : t -> Point.t -> int
 (** Sorted position of an ID, or [-1] when absent. *)
@@ -79,8 +91,7 @@ val iter : (Point.t -> unit) -> t -> unit
 (** Ascending ring position, like the sorted array. *)
 
 val random_member : Prng.Rng.t -> t -> Point.t
-(** Uniform member of a non-empty ring: one PRNG draw, one array
-    index. *)
+(** Uniform member of a non-empty ring: one PRNG draw, then {!nth}. *)
 
 val populate : Prng.Rng.t -> int -> t
 (** [populate rng n] is a ring of [n] independent uniform IDs (the

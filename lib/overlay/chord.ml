@@ -1,27 +1,55 @@
 open Idspace
 
-let fingers ring w =
-  let acc = ref [] in
-  for j = 61 downto 0 do
-    let target = Point.add_cw w (Int64.shift_left 1L j) in
-    let f = Ring.successor_exn ring target in
-    if not (Point.equal f w) then
-      match !acc with
-      | prev :: _ when Point.equal prev f -> ()
-      | _ -> acc := f :: !acc
-  done;
-  (* Collected from high stride to low; consecutive-dedup above removes
-     most duplicates, a final pass removes the rest. *)
-  List.sort_uniq Point.compare !acc
+(* The linking rule, in rank space: the predecessor plus the fingers
+   [suc(w + 2^j)], j = 0..61, ascending and without [w] itself.
 
+   A finger [f = suc(w + 2^j)] at clockwise distance [d] from [w] is
+   also [suc(w + 2^j')] for every larger stride with [2^j' <= d]: the
+   target lies on the arc [w + 2^j, f], which holds no ID before [f].
+   So only the strides that leave the current finger's gap search the
+   ring — about lg n of the 62. Once a finger is [w] itself (a ring of
+   one, or a stride that wrapped into [w]'s own arc), every larger
+   stride lands on [w] too and adds nothing.
+
+   The ranks collect in a per-call buffer (the rule runs on several
+   domains at once), insertion-sorted and de-duplicated, then mapped
+   to points once. *)
 let neighbors_of ring w =
-  let base = fingers ring w in
-  let with_pred =
-    match Ring.predecessor ring w with
-    | Some p when not (Point.equal p w) -> p :: base
-    | _ -> base
+  let n = Ring.cardinal ring in
+  let kw = Point.to_key w in
+  let buf = Array.make 63 0 and len = ref 0 in
+  let push r =
+    let i = ref !len in
+    while !i > 0 && Array.unsafe_get buf (!i - 1) > r do
+      decr i
+    done;
+    if !i = 0 || Array.unsafe_get buf (!i - 1) <> r then begin
+      Array.blit buf !i buf (!i + 1) (!len - !i);
+      Array.unsafe_set buf !i r;
+      incr len
+    end
   in
-  List.sort_uniq Point.compare with_pred
+  let key_of r = Point.to_key (Ring.nth ring r) in
+  let j = ref 0 in
+  while !j <= 61 do
+    let r = Ring.successor_rank ring ((kw + (1 lsl !j)) land Point.key_mask) in
+    let d = (key_of r - kw) land Point.key_mask in
+    if d = 0 then j := 62
+    else begin
+      push r;
+      incr j;
+      while !j <= 61 && 1 lsl !j <= d do
+        incr j
+      done
+    end
+  done;
+  let p = (Ring.successor_rank ring kw + n - 1) mod n in
+  if key_of p <> kw then push p;
+  let acc = ref [] in
+  for i = !len - 1 downto 0 do
+    acc := Ring.nth ring (Array.unsafe_get buf i) :: !acc
+  done;
+  !acc
 
 let rec make ring =
   if Ring.cardinal ring = 0 then invalid_arg "Chord.make: empty ring";

@@ -13,7 +13,3 @@ open Idspace
 
 val make : Ring.t -> Overlay_intf.t
 (** Build the Chord view of a non-empty ring. *)
-
-val fingers : Ring.t -> Point.t -> Point.t list
-(** The raw finger list of one ID (deduplicated, excludes the ID
-    itself); exposed for tests. *)

@@ -210,8 +210,10 @@ let join_many ?pow rng metrics g ~old_pair ~member_oracle ~ids =
        graph assemblies of the fold are never built, and every overlay
        query goes through the memo-free [neighbors_in]. Joins never
        modify existing groups, so the batch pays one {!Ring.add} per
-       newcomer plus a single final population merge, overlay rebuild
-       and assembly — O(1) rebuilds, like {!depart_many}. *)
+       newcomer — which copies only the ring's small delta of added
+       points, not the whole ring — plus a single final population
+       merge, overlay rebuild and assembly: O(1) rebuilds, like
+       {!depart_many}. *)
     let ring = ref ring0 in
     List.iter
       (fun (id, _bad) ->

@@ -71,23 +71,159 @@ let test_debruijn_hop_bound () =
     (Printf.sprintf "max %d small" st.max_hops)
     true (st.max_hops <= Overlay.Debruijn.halving_steps 4096 + 8)
 
+(* The Chord linking rule as first written: one successor search per
+   stride 2^j, j = 0..61, plus the predecessor, sorted and
+   de-duplicated as points. [Chord]'s rank-space rule must equal it. *)
+let ref_chord_neighbors ring w =
+  let acc = ref [] in
+  for j = 61 downto 0 do
+    let target = Point.add_cw w (Int64.shift_left 1L j) in
+    let f = Ring.successor_exn ring target in
+    if not (Point.equal f w) then
+      match !acc with
+      | prev :: _ when Point.equal prev f -> ()
+      | _ -> acc := f :: !acc
+  done;
+  let with_pred =
+    match Ring.predecessor ring w with
+    | Some p when not (Point.equal p w) -> p :: !acc
+    | _ -> !acc
+  in
+  List.sort_uniq Point.compare with_pred
+
+(* P3: each neighbour is derivable from the ring alone — the
+   predecessor or [suc(w + 2^j)] for some [j] — and every such
+   successor other than [w] is a neighbour. *)
 let test_chord_fingers_are_successors () =
   let ring = mk_ring 256 in
+  let ov = Overlay.Chord.make ring in
   let members = Ring.to_sorted_array ring in
   let w = members.(13) in
-  let fingers = Overlay.Chord.fingers ring w in
-  Alcotest.(check bool) "has fingers" true (List.length fingers > 0);
-  (* Each finger must be the successor of w + 2^j for some j (P3:
-     verifiable by searches). *)
+  let ns = ov.Overlay.Overlay_intf.neighbors w in
+  let fingers =
+    List.init 62 (fun j -> Ring.successor_exn ring (Point.add_cw w (Int64.shift_left 1L j)))
+  in
+  Alcotest.(check bool) "has fingers" true (List.length ns > 1);
   List.iter
     (fun f ->
-      let ok = ref false in
-      for j = 0 to 61 do
-        let target = Point.add_cw w (Int64.shift_left 1L j) in
-        if Point.equal f (Ring.successor_exn ring target) then ok := true
-      done;
-      Alcotest.(check bool) "finger verifiable" true !ok)
+      Alcotest.(check bool) "neighbour verifiable" true
+        (List.exists (Point.equal f) fingers
+        || Point.equal f (Ring.predecessor ring w |> Option.get)))
+    ns;
+  List.iter
+    (fun f ->
+      if not (Point.equal f w) then
+        Alcotest.(check bool) "finger linked" true (List.exists (Point.equal f) ns))
     fingers
+
+(* Every member plus off-ring points: the members' key-space
+   neighbours, ring-wrap points and a few uniform draws. *)
+let chord_probes r ring =
+  let top = Point.of_u62 (Int64.pred Point.modulus) in
+  Ring.fold
+    (fun p acc -> p :: Point.add_cw p 1L :: Point.add_cw p (Int64.pred Point.modulus) :: acc)
+    ring
+    (Point.zero :: top :: List.init 16 (fun _ -> Point.random r))
+
+let chord_rule_agrees ring probes =
+  let ov = Overlay.Chord.make ring in
+  List.for_all
+    (fun w -> ov.Overlay.Overlay_intf.neighbors_in ring w = ref_chord_neighbors ring w)
+    probes
+
+let prop_chord_rule_random =
+  QCheck.Test.make ~name:"chord rule = reference: random rings"
+    ~count:20
+    QCheck.(pair small_nat (int_range 1 3000))
+    (fun (seed, n) ->
+      let r = Prng.Rng.create seed in
+      let ring = Ring.populate r n in
+      chord_rule_agrees ring (chord_probes r ring))
+
+(* IDs packed within 2^20 of both sides of the wrap point, so strides
+   and finger gaps cross it; some rings add a uniform sprinkle. *)
+let prop_chord_rule_wrap =
+  QCheck.Test.make ~name:"chord rule = reference: wrap clusters"
+    ~count:40
+    QCheck.(triple small_nat (int_range 1 200) (int_range 0 20))
+    (fun (seed, n, spread) ->
+      let r = Prng.Rng.create seed in
+      let near = Int64.shift_left 1L 20 in
+      let clustered =
+        List.init n (fun i ->
+            let off = Int64.rem (Int64.logand (Prng.Rng.bits64 r) Int64.max_int) near in
+            if i mod 2 = 0 then Point.of_u62 off
+            else Point.of_u62 (Int64.sub (Int64.pred Point.modulus) off))
+      in
+      let ring = Ring.of_list (clustered @ List.init spread (fun _ -> Point.random r)) in
+      chord_rule_agrees ring (chord_probes r ring))
+
+(* Rings where a stride wraps into an ID's own arc, so every larger
+   stride lands on the ID itself: singletons, pairs, and one-arc
+   clusters that leave most of the ring empty. *)
+let test_chord_rule_small_rings () =
+  let r = Prng.Rng.create 41 in
+  let pt = Point.of_u62 in
+  let top = Int64.pred Point.modulus and half = Int64.shift_left 1L 61 in
+  let x = Point.random r in
+  let cluster c = List.init 30 (fun i -> Point.add_cw c (Int64.shift_left (Int64.of_int i) 25)) in
+  List.iteri
+    (fun i ps ->
+      let ring = Ring.of_list ps in
+      Alcotest.(check bool) (Printf.sprintf "ring %d" i) true
+        (chord_rule_agrees ring (chord_probes r ring)))
+    [
+      [ pt 0L ];
+      [ pt top ];
+      [ x ];
+      [ pt 0L; pt 1L ];
+      [ pt 0L; pt (Int64.shift_left 1L 60) ];
+      [ pt top; pt 0L ];
+      [ x; Point.add_cw x half ];
+      [ x; Point.add_cw x (Int64.succ half) ];
+      [ x; Point.add_cw x (Int64.pred half) ];
+      cluster x;
+      cluster (pt (Int64.sub top (Int64.shift_left 1L 28)));
+    ]
+
+(* Rings grown by single adds carry a delta of new points; the rule
+   must read ranks through it exactly as through a compact ring. *)
+let test_chord_rule_grown () =
+  let r = Prng.Rng.create 17 in
+  List.iter
+    (fun n ->
+      let ring = ref (Ring.populate r n) in
+      for i = 1 to 2 * int_of_float (sqrt (float_of_int n)) + 4 do
+        ring := Ring.add (Point.random r) !ring;
+        if i mod 7 = 0 then
+          Alcotest.(check bool) (Printf.sprintf "n = %d, %d adds" n i) true
+            (chord_rule_agrees !ring (chord_probes r !ring))
+      done)
+    [ 1; 50; 2000 ]
+
+(* The memoised [neighbors] of a view, its [neighbors_in] and Chord++'s
+   inherited neighbours are one rule, on compact and grown rings. *)
+let test_chord_memo_and_chordpp_agree () =
+  let r = Prng.Rng.create 29 in
+  let base = Ring.populate r 1500 in
+  let grown = List.fold_left (fun t _ -> Ring.add (Point.random r) t) base (List.init 20 Fun.id) in
+  List.iter
+    (fun ring ->
+      let chord = Overlay.Chord.make ring and pp = Overlay.Chord_pp.make ~salt:5 ring in
+      List.iter
+        (fun w ->
+          let want = ref_chord_neighbors ring w in
+          (* Twice: the second call reads the memo. *)
+          for _ = 1 to 2 do
+            Alcotest.(check bool) "memoised = reference" true
+              (chord.Overlay.Overlay_intf.neighbors w = want);
+            Alcotest.(check bool) "chord++ = reference" true
+              (pp.Overlay.Overlay_intf.neighbors w = want)
+          done;
+          Alcotest.(check bool) "chord++ neighbors_in = reference" true
+            (pp.Overlay.Overlay_intf.neighbors_in ring w = want))
+        (chord_probes r ring))
+    [ base; grown ]
 
 let test_chord_degree_logarithmic () =
   let ov = Overlay.Chord.make (mk_ring 4096) in
@@ -440,6 +576,12 @@ let () =
             test_neighbors_in_matches_rebuild;
           Alcotest.test_case "forged paths rejected" `Quick test_is_neighbor_and_path_ok_reject;
           Alcotest.test_case "empty ring rejected" `Quick test_empty_ring_rejected;
+          Alcotest.test_case "chord rule on small rings" `Quick test_chord_rule_small_rings;
+          Alcotest.test_case "chord rule on grown rings" `Quick test_chord_rule_grown;
+          Alcotest.test_case "chord memo = rule = chord++" `Quick
+            test_chord_memo_and_chordpp_agree;
+          QCheck_alcotest.to_alcotest prop_chord_rule_random;
+          QCheck_alcotest.to_alcotest prop_chord_rule_wrap;
         ] );
       ( "chord++",
         [

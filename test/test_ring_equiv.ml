@@ -231,6 +231,114 @@ let test_populate_draw_parity () =
   Alcotest.(check bool) "streams in lockstep afterwards" true
     (Prng.Rng.bits64 r1 = Prng.Rng.bits64 r2)
 
+(* Rings grown by single [Ring.add]s from an [of_list] base. [add]
+   keeps new points in a delta that it folds into the base once it
+   holds about sqrt n points, so a walk of 2 sqrt n + 4 adds passes
+   through an empty delta, a partly full one and a just-folded one;
+   every query is checked against the Set ring after every add. *)
+
+(* Every query of [ring] agrees with [reference] on [probes]; ranks,
+   [nth] and the iteration order agree on every member. *)
+let agree ring reference probes =
+  let sorted = Ref_ring.to_sorted_array reference in
+  let n = Array.length sorted in
+  let exn_eq f g x =
+    match (f x, g x) with
+    | a, Some b -> Point.equal a b
+    | exception Not_found -> n = 0
+    | _, None -> false
+  in
+  let successor_rank_ok x =
+    match Ring.successor_rank ring (Point.to_key x) with
+    | r -> (
+        match Ref_ring.successor reference x with
+        | Some s -> Point.equal sorted.(r) s
+        | None -> false)
+    | exception Not_found -> n = 0
+  in
+  let out_of_range i =
+    match Ring.nth ring i with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Ring.cardinal ring = n
+  && Ring.to_sorted_array ring = sorted
+  && List.rev (Ring.fold (fun p acc -> p :: acc) ring []) = Array.to_list sorted
+  && (let seen = ref [] in
+      Ring.iter (fun p -> seen := p :: !seen) ring;
+      List.rev !seen = Array.to_list sorted)
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun i p -> Ring.rank ring p = i && Point.equal (Ring.nth ring i) p && Ring.mem p ring)
+          sorted)
+  && out_of_range (-1)
+  && out_of_range n
+  && List.for_all
+       (fun x ->
+         opt_point_eq (Ring.successor ring x) (Ref_ring.successor reference x)
+         && opt_point_eq (Ring.strict_successor ring x) (Ref_ring.strict_successor reference x)
+         && opt_point_eq (Ring.predecessor ring x) (Ref_ring.predecessor reference x)
+         && exn_eq (Ring.successor_exn ring) (Ref_ring.successor reference) x
+         && exn_eq (Ring.strict_successor_exn ring) (Ref_ring.strict_successor reference) x
+         && ival_eq (Ring.responsibility ring x) (Ref_ring.responsibility reference x)
+         && Ring.mem x ring = Ref_ring.Pset.mem x reference
+         && (Ring.rank ring x >= 0) = Ref_ring.Pset.mem x reference
+         && successor_rank_ok x)
+       probes
+
+(* Grow an [n]-point base by single adds, checking [agree] after each;
+   then apply [remove], [add_batch] and [remove_batch] to the grown
+   ring. Returns false at the first disagreement. *)
+let grow_and_check seed n =
+  let r = Prng.Rng.create seed in
+  let base = List.init n (fun _ -> Point.random r) in
+  let extra = List.init ((2 * int_of_float (sqrt (float_of_int n))) + 4) (fun _ -> Point.random r) in
+  let random_probes = List.init 48 (fun _ -> Point.random r) in
+  let ring = ref (Ring.of_list base) and reference = ref (Ref_ring.of_list base) in
+  let ok = ref (agree !ring !reference (probes_of [] random_probes)) in
+  List.iteri
+    (fun i p ->
+      ring := Ring.add p !ring;
+      reference := Ref_ring.add p !reference;
+      (* Re-adding a present point is a no-op, base or delta. *)
+      if i mod 3 = 0 then ring := Ring.add p !ring;
+      let members = List.filteri (fun j _ -> j mod 97 = i mod 97) base in
+      ok := !ok && agree !ring !reference (probes_of (p :: members) random_probes);
+      (* Draw parity: same pick, one draw, on whatever delta the ring holds. *)
+      let r1 = Prng.Rng.create (seed + i) in
+      let r2 = Prng.Rng.copy r1 in
+      ok :=
+        !ok
+        && Point.equal (Ring.random_member r1 !ring) (Ref_ring.random_member r2 !reference)
+        && Prng.Rng.bits64 r1 = Prng.Rng.bits64 r2)
+    extra;
+  (* Structural churn on a grown ring (whose delta is partly full
+     unless the last add folded it). *)
+  let gone = List.filteri (fun j _ -> j mod 5 = 0) (extra @ base) in
+  let fresh = List.init 20 (fun _ -> Point.random r) in
+  let removed = List.fold_left (fun t p -> Ref_ring.Pset.remove p t) !reference gone in
+  let probes = probes_of fresh random_probes in
+  let grown = Ring.add (List.hd fresh) !ring in
+  let grown_ref = Ref_ring.add (List.hd fresh) !reference in
+  !ok
+  && agree (Ring.remove_batch gone !ring) removed probes
+  && agree (Ring.add_batch fresh !ring) (List.fold_left (fun t p -> Ref_ring.add p t) !reference fresh) probes
+  && agree (Ring.remove (List.hd fresh) grown) !reference probes
+  && agree (Ring.remove (List.hd gone) grown) (Ref_ring.remove (List.hd gone) grown_ref) probes
+  && agree (Ring.remove (List.nth fresh 1) grown) grown_ref probes
+  && agree (Ring.remove_batch [ List.hd fresh ] grown) !reference probes
+
+let prop_grown_rings =
+  QCheck.Test.make ~name:"rings grown by single adds agree with Set ring" ~count:25
+    QCheck.(pair small_nat (int_range 0 3000))
+    (fun (seed, n) -> grow_and_check seed n)
+
+let test_grown_large () =
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "n = %d" n) true (grow_and_check n n))
+    [ 0; 1; 2; 3; 4; 15; 16; 3000 ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "ring-equivalence"
@@ -242,11 +350,13 @@ let () =
           q prop_random_member_parity;
           q prop_churn_equiv;
           q prop_batch_equals_sequential;
+          q prop_grown_rings;
         ] );
       ( "unit",
         [
           Alcotest.test_case "singleton ring" `Quick test_singleton;
           Alcotest.test_case "wrap-around" `Quick test_wraparound_explicit;
           Alcotest.test_case "populate draw parity" `Quick test_populate_draw_parity;
+          Alcotest.test_case "grown rings, base sizes 0-3000" `Quick test_grown_large;
         ] );
     ]
