@@ -1,4 +1,4 @@
-.PHONY: all check check-seeds check-reach test perf bench bench-quick bench-hotpath bench-hotpath-capture bench-serve bench-scale bench-epoch bench-epoch-quick bench-pow bench-pow-quick regen-goldens fmt clean
+.PHONY: all check check-seeds check-reach test perf bench bench-quick bench-serve bench-scale bench-epoch bench-epoch-quick bench-pow bench-pow-quick regen-goldens fmt clean
 
 all:
 	dune build
@@ -66,17 +66,6 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --scale quick --jobs 2 --skip-timings
 
-# Hot-path micro + e2e benches (quick scale, jobs 1) with the
-# committed before/after baseline; writes BENCH_hotpath.json.
-bench-hotpath:
-	dune exec bench/hotpath.exe
-
-# Re-capture the hot-path baseline: three interleaved passes, prints
-# the per-row medians as a paste-ready [baseline] literal for
-# bench/hotpath.ml (use when a perf PR resets the reference point).
-bench-hotpath-capture:
-	dune exec bench/hotpath.exe -- --capture
-
 # The closed-loop serving tier (E23) at quick scale, seed 1, jobs 1;
 # rewrites the committed BENCH_serve.json artifact.
 bench-serve:
@@ -85,18 +74,19 @@ bench-serve:
 # The stress scale tier (E25) at n = 2^17..2^20, seed 1, jobs 1;
 # rewrites the committed BENCH_scale.json artifact (peak RSS and
 # wall-clock per n live only there — the table stays deterministic).
-# Budget ~8-10 minutes and ~5.5 GB peak RSS on one core.
+# Budget ~5-11 minutes and ~2 GB peak RSS.
 bench-scale:
 	dune exec bin/tinygroups_cli.exe -- scale --scale stress --seed 1 --jobs 1 --out BENCH_scale.json
 
 # The parallel epoch-transition bench: Epoch.advance and
 # Group_graph.build_direct at jobs 1/2/4 per n, determinism asserted
-# on every pair, speedup asserted only when the recorded core count
+# on every pair; speedup measured at jobs = min(cores, 4) (median of
+# three j1/jN pairs) and asserted only when the recorded core count
 # exceeds 1. Rewrites the committed BENCH_epoch.json artifact.
 bench-epoch:
 	dune exec bench/epoch.exe -- --scale stress --seed 1 --out BENCH_epoch.json
 
-# CI variant (~10 s): same assertions at quick scale; the artifact is
+# CI variant (~25 s): same assertions at quick scale; the artifact is
 # uploaded by the workflow, not committed.
 bench-epoch-quick:
 	dune exec bench/epoch.exe -- --scale quick --seed 1 --out BENCH_epoch_quick.json
@@ -104,7 +94,7 @@ bench-epoch-quick:
 # The PoW difficulty-controller sweep (E26) at standard scale, seed 1,
 # jobs 1; rewrites the committed BENCH_pow.json artifact (wall-clock
 # per cell lives only there — the table and every spend ledger stay
-# deterministic). Budget ~45 s on one core.
+# deterministic). Budget ~0.5-1.5 minutes.
 bench-pow:
 	dune exec bin/tinygroups_cli.exe -- pow --scale standard --seed 1 --jobs 1 --out BENCH_pow.json
 

@@ -6,11 +6,14 @@
 
    Determinism is asserted unconditionally: the graphs, census
    history and metrics tables of a jobs=2/4 run must match the
-   jobs=1 run exactly, benign or faulty. Speedup is asserted only
-   when the recorded core count exceeds 1 — on a single-core
-   container the domain fan-out can only add overhead, and the
-   committed JSON records that honestly (the [cores] field tells the
-   reader which regime produced the numbers).
+   jobs=1 run exactly, benign or faulty. Speedup is measured at
+   jobs = min(cores, 4), so the fan-out never oversubscribes the
+   host, as the median j1/jN wall ratio of three back-to-back pairs
+   (one slow host phase cannot sink it). It is asserted > 1 on the
+   largest n of each kind only when the recorded core count exceeds
+   1 — on a single-core container the domain fan-out can only add
+   overhead (the [cores] field tells the reader which regime
+   produced the numbers).
 
    Usage:
      dune exec bench/epoch.exe                       # stress tier -> BENCH_epoch.json
@@ -99,23 +102,6 @@ let conditions_of = function
           (Reliability.Policy.make ~seed:42L ~max_retries:8 ~circuit_threshold:4 ())
         ()
 
-let run_epoch ~variant ~n ~jobs =
-  let config =
-    { (Tinygroups.Epoch.default_config ~n) with Tinygroups.Epoch.build_jobs = jobs }
-  in
-  let eh =
-    Tinygroups.Epoch.init
-      ~conditions:(conditions_of variant)
-      (Prng.Rng.create cli.seed) config
-  in
-  let (), wall_s =
-    time (fun () ->
-        for _ = 1 to cli.epochs do
-          Tinygroups.Epoch.advance eh
-        done)
-  in
-  (eh, wall_s)
-
 let graphs_match a b =
   Tinygroups.Group_graph.equal (Tinygroups.Epoch.primary a) (Tinygroups.Epoch.primary b)
   && (match (Tinygroups.Epoch.secondary a, Tinygroups.Epoch.secondary b) with
@@ -126,89 +112,88 @@ let graphs_match a b =
   && Sim.Metrics.snapshot (Tinygroups.Epoch.metrics a)
      = Sim.Metrics.snapshot (Tinygroups.Epoch.metrics b)
 
-type jobs_row = { jobs : int; wall_s : float }
+let cores = Domain.recommended_domain_count ()
+let speedup_jobs = min cores 4
 
-type advance_row = {
+type row = {
   n : int;
   variant : string;
-  rows : jobs_row list;
-  deterministic : bool;
+  walls : (int * float) list;  (* (jobs, wall_s) of the determinism sweep *)
+  speedup : float;
 }
 
-let advance_row ~variant n =
-  let name = match variant with `Benign -> "benign" | `Masked -> "drop0.15xretry8" in
-  let runs =
-    List.map
-      (fun jobs ->
-        let eh, wall_s = run_epoch ~variant ~n ~jobs in
-        (jobs, eh, wall_s))
-      jobs_sweep
-  in
-  let _, ref_eh, _ = List.hd runs in
-  let deterministic =
-    List.for_all (fun (_, eh, _) -> graphs_match ref_eh eh) (List.tl runs)
-  in
-  if not deterministic then
-    fail "advance not jobs-invariant at n=%d (%s, seed %d)" n name cli.seed;
-  Printf.printf "advance n=%-6d %-16s %s det=ok\n%!" n name
-    (String.concat " "
-       (List.map (fun (j, _, w) -> Printf.sprintf "j%d=%.2fs" j w) runs));
-  {
-    n;
-    variant = name;
-    rows = List.map (fun (jobs, _, wall_s) -> { jobs; wall_s }) runs;
-    deterministic;
-  }
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
 
-(* -- build_direct rows ---------------------------------------------- *)
+(* One row: [run jobs] times a fresh run; the sweep asserts [same]
+   on every jobs value against jobs=1, then (unless only determinism
+   is wanted) three j1/jN pairs give the speedup. *)
+let measure ~what ~n ~variant ~same run =
+  let runs = List.map (fun jobs -> (jobs, run jobs)) jobs_sweep in
+  let ref_v, _ = List.assoc 1 runs in
+  if not (List.for_all (fun (_, (v, _)) -> same ref_v v) runs) then
+    fail "%s not jobs-invariant at n=%d (%s, seed %d)" what n variant cli.seed;
+  let walls = List.map (fun (jobs, (_, w)) -> (jobs, w)) runs in
+  let ratios =
+    if cli.determinism_only || speedup_jobs = 1 then []
+    else
+      List.init 3 (fun _ ->
+          let _, w1 = run 1 in
+          let _, wn = run speedup_jobs in
+          w1 /. wn)
+  in
+  let speedup = if ratios = [] then 1.0 else median ratios in
+  Printf.printf "%-7s n=%-7d %-16s %s det=ok%s\n%!" what n variant
+    (String.concat " " (List.map (fun (j, w) -> Printf.sprintf "j%d=%.2fs" j w) walls))
+    (if ratios = [] then ""
+     else
+       Printf.sprintf " speedup(j%d)=%.2f [%s]" speedup_jobs speedup
+         (String.concat " " (List.map (Printf.sprintf "%.2f") ratios)));
+  { n; variant; walls; speedup }
+
+let advance_row ~variant n =
+  let variant_name =
+    match variant with `Benign -> "benign" | `Masked -> "drop0.15xretry8"
+  in
+  measure ~what:"advance" ~n ~variant:variant_name ~same:graphs_match (fun jobs ->
+      let config =
+        { (Tinygroups.Epoch.default_config ~n) with Tinygroups.Epoch.build_jobs = jobs }
+      in
+      let eh =
+        Tinygroups.Epoch.init
+          ~conditions:(conditions_of variant)
+          (Prng.Rng.create cli.seed) config
+      in
+      time (fun () ->
+          for _ = 1 to cli.epochs do
+            Tinygroups.Epoch.advance eh
+          done;
+          eh))
 
 let build_row n =
-  let beta = 0.05 in
   let brng = Prng.Rng.create cli.seed in
-  let runs =
-    List.map
-      (fun jobs ->
-        let (_, g), wall_s =
-          time (fun () ->
-              Experiments.Common.build_tiny (Prng.Rng.copy brng) ~jobs ~n ~beta ())
-        in
-        (jobs, g, wall_s))
-      jobs_sweep
-  in
-  let _, ref_g, _ = List.hd runs in
-  let deterministic =
-    List.for_all (fun (_, g, _) -> Tinygroups.Group_graph.equal ref_g g) (List.tl runs)
-  in
-  if not deterministic then fail "build_direct not jobs-invariant at n=%d" n;
-  Printf.printf "build   n=%-7d %s det=ok\n%!" n
-    (String.concat " "
-       (List.map (fun (j, _, w) -> Printf.sprintf "j%d=%.2fs" j w) runs));
-  {
-    n;
-    variant = "build_direct";
-    rows = List.map (fun (jobs, _, wall_s) -> { jobs; wall_s }) runs;
-    deterministic;
-  }
+  measure ~what:"build" ~n ~variant:"build_direct" ~same:Tinygroups.Group_graph.equal
+    (fun jobs ->
+      time (fun () ->
+          snd (Experiments.Common.build_tiny (Prng.Rng.copy brng) ~jobs ~n ~beta:0.05 ())))
 
 (* -- report --------------------------------------------------------- *)
 
-let wall_of row jobs =
-  (List.find (fun r -> r.jobs = jobs) row.rows).wall_s
-
-let speedup_j4 row = wall_of row 1 /. wall_of row 4
-
 let row_json row =
-  Printf.sprintf
-    {|    {"n": %d, "variant": "%s", "jobs": [%s], "deterministic": %b, "speedup_j4": %.3f}|}
-    row.n row.variant
-    (String.concat ", "
-       (List.map
-          (fun r -> Printf.sprintf {|{"jobs": %d, "wall_s": %.3f}|} r.jobs r.wall_s)
-          row.rows))
-    row.deterministic (speedup_j4 row)
+  Report.Obj
+    [
+      ("n", Report.Int row.n);
+      ("variant", Report.String row.variant);
+      ( "jobs",
+        Report.List
+          (List.map
+             (fun (jobs, wall_s) ->
+               Report.Obj [ ("jobs", Report.Int jobs); ("wall_s", Report.fixed 3 wall_s) ])
+             row.walls) );
+      ("deterministic", Report.Bool true);
+      ("speedup", Report.fixed 3 row.speedup);
+    ]
 
 let () =
-  let cores = Domain.recommended_domain_count () in
   if cli.determinism_only then begin
     (* Seed sweeps / CI smoke: every variant and jobs value, smallest
        sizes, assertions only. *)
@@ -235,36 +220,33 @@ let () =
       (* On real multi-core, the fan-out must pay for itself at the
          largest sizes; single-core containers only record overhead. *)
       let check what row =
-        if speedup_j4 row <= 1.0 then
-          fail "%s n=%d: no speedup at 4 jobs on %d cores (j1=%.2fs j4=%.2fs)"
-            what row.n cores (wall_of row 1) (wall_of row 4)
+        if row.speedup <= 1.0 then
+          fail "%s n=%d: no speedup at %d jobs on %d cores (median j1/j%d = %.2f)" what
+            row.n speedup_jobs cores speedup_jobs row.speedup
       in
       check "advance" (List.hd (List.rev adv_rows));
       check "build_direct" (List.hd (List.rev build_rows))
     end;
-    let json =
-      Printf.sprintf
-        {|{
-  "bench": "epoch",
-  "scale": "%s",
-  "seed": %d,
-  "epochs_per_run": %d,
-  "cores": %d,
-  "notes": "wall_s per full advance loop (epochs_per_run transitions, paired graphs) resp. one build_direct; deterministic = graphs, history and metrics identical across jobs 1/2/4 (asserted). speedup_j4 = j1/j4 wall; asserted > 1 only when cores > 1 - on a single-core container the fan-out records its overhead honestly.",
-  "advance": [
-%s
-  ],
-  "build_direct": [
-%s
-  ]
-}
-|}
-        cli.scale cli.seed cli.epochs cores
-        (String.concat ",\n" (List.map row_json adv_rows))
-        (String.concat ",\n" (List.map row_json build_rows))
-    in
-    let oc = open_out cli.out in
-    output_string oc json;
-    close_out oc;
+    Report.write cli.out
+      (Report.Obj
+         [
+           ("bench", Report.String "epoch");
+           ("scale", Report.String cli.scale);
+           ("seed", Report.Int cli.seed);
+           ("epochs_per_run", Report.Int cli.epochs);
+           ("cores", Report.Int cores);
+           ("speedup_jobs", Report.Int speedup_jobs);
+           ( "notes",
+             Report.String
+               "wall_s per full advance loop (epochs_per_run transitions, paired \
+                graphs) resp. one build_direct; deterministic = graphs, history and \
+                metrics identical across jobs 1/2/4 (asserted). speedup = median \
+                j1/jN wall ratio over three back-to-back pairs at N = speedup_jobs = \
+                min(cores, 4); asserted > 1 on the largest n of each kind only when \
+                cores > 1 - on a single-core container the fan-out records its \
+                overhead honestly." );
+           ("advance", Report.List (List.map row_json adv_rows));
+           ("build_direct", Report.List (List.map row_json build_rows));
+         ]);
     Printf.printf "wrote %s (cores=%d)\n" cli.out cores
   end

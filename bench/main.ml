@@ -1,6 +1,6 @@
 (* The benchmark harness: regenerates every table/figure-equivalent of
    the paper (E0-E26, F1; see DESIGN.md §4 and EXPERIMENTS.md) and
-   runs the Bechamel timing benches (B0-B7). The experiment list
+   runs the Bechamel timing benches (B0-B11). The experiment list
    itself lives in Experiments.Registry — this file only drives it.
 
    Usage:
@@ -72,20 +72,24 @@ let parse_args () =
 (* One record per table experiment: wall-clock at the requested jobs
    count and at jobs=1, plus whether the rendered outputs matched. *)
 let write_parallel_report path records ~jobs =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"jobs\": %d,\n  \"experiments\": [\n" jobs;
-  List.iteri
-    (fun i (id, t_par, t_seq, identical) ->
-      Printf.fprintf oc
-        "    {\"id\": \"%s\", \"seconds_jobs_n\": %.3f, \"seconds_jobs_1\": %.3f, \
-         \"speedup\": %.2f, \"identical_output\": %b}%s\n"
-        id t_par t_seq
-        (if t_par > 0. then t_seq /. t_par else 0.)
-        identical
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  Report.write path
+    (Report.Obj
+       [
+         ("jobs", Report.Int jobs);
+         ( "experiments",
+           Report.List
+             (List.map
+                (fun (id, t_par, t_seq, identical) ->
+                  Report.Obj
+                    [
+                      ("id", Report.String id);
+                      ("seconds_jobs_n", Report.fixed 3 t_par);
+                      ("seconds_jobs_1", Report.fixed 3 t_seq);
+                      ("speedup", Report.fixed 2 (if t_par > 0. then t_seq /. t_par else 0.));
+                      ("identical_output", Report.Bool identical);
+                    ])
+                records) );
+       ])
 
 let () =
   let scale, only, skip_timings, seed, csv_dir, verbose, jobs = parse_args () in
@@ -105,6 +109,7 @@ let () =
       if wanted id then begin
         Printf.printf "\n### %s — %s\n%!" (String.uppercase_ascii id) doc;
         let t0 = Unix.gettimeofday () in
+        let a0 = Gc.allocated_bytes () in
         let spec = { Experiments.Registry.id; doc; kind } in
         (match kind with
         | Experiments.Registry.Table _ | Experiments.Registry.Faulty _ ->
@@ -136,8 +141,10 @@ let () =
                 Printf.printf "   [csv: %s]\n" path)
               csv_dir
         | Experiments.Registry.Text run -> print_string (run (Prng.Rng.create seed)));
-        Printf.printf "   [%s took %.1fs]\n%!" (String.uppercase_ascii id)
+        (* The allocation count is this domain's: exact at --jobs 1. *)
+        Printf.printf "   [%s took %.1fs, %.1f MB allocated]\n%!" (String.uppercase_ascii id)
           (Unix.gettimeofday () -. t0)
+          ((Gc.allocated_bytes () -. a0) /. 1e6)
       end)
     Experiments.Registry.all;
   (match List.rev !parallel_records with

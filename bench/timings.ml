@@ -1,6 +1,6 @@
-(* B1-B6: Bechamel micro-benchmarks of the core operations, one per
+(* B0-B11: Bechamel micro-benchmarks of the core operations, one per
    cost the paper reasons about. Results are OLS estimates of
-   nanoseconds per run. *)
+   nanoseconds and minor-heap words allocated per run. *)
 
 open Bechamel
 open Toolkit
@@ -128,6 +128,43 @@ let sha256_test =
     (let block = String.make 1024 'x' in
      Staged.stage (fun () -> ignore (Hashing.Sha256.digest_string block)))
 
+let ring_successor_test =
+  (* B10: one successor lookup, the step under every member draw and
+     routing hop. *)
+  let ring = Idspace.Ring.populate (Prng.Rng.split rng) 4096 in
+  let keys = Array.init 4096 (fun _ -> Idspace.Point.random rng) in
+  let i = ref 0 in
+  Test.make ~name:"B10 ring-successor n=4096"
+    (Staged.stage (fun () ->
+         incr i;
+         ignore (Idspace.Ring.successor_exn ring keys.(!i land 4095))))
+
+let ring_random_member_test =
+  (* B11: one uniform member draw; O(1) on a compact ring like this
+     one, O(log sqrt n) while an [add] delta is pending. *)
+  let ring = Idspace.Ring.populate (Prng.Rng.split rng) 4096 in
+  let r = Prng.Rng.split rng in
+  Test.make ~name:"B11 ring-random-member n=4096"
+    (Staged.stage (fun () -> ignore (Idspace.Ring.random_member r ring)))
+
+(* Bechamel's [Instance.minor_allocated] reads [Gc.quick_stat], whose
+   minor-word count moves only at a minor collection on OCaml 5, so
+   an operation that allocates less than a minor heap per sample
+   reads as zero. [Gc.minor_words] also counts the live minor heap. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "w"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
 let run () =
   let tests =
     Test.make_grouped ~name:"tinygroups"
@@ -142,21 +179,30 @@ let run () =
         cuckoo_step_test;
         kvstore_get_test;
         commit_reveal_test;
+        ring_successor_test;
+        ring_random_member_test;
       ]
   in
   let cfg = Benchmark.cfg ~limit:1500 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
+  let raw =
+    Benchmark.all cfg [ Instance.monotonic_clock; minor_words ] tests
+  in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  print_string "\n== Timing benches (Bechamel OLS, monotonic clock)\n";
+  let clock = Analyze.all ols Instance.monotonic_clock raw in
+  let alloc = Analyze.all ols minor_words raw in
+  let estimate o =
+    match Analyze.OLS.estimates o with Some (e :: _) -> e | _ -> Float.nan
+  in
+  let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) clock []) in
+  print_string "\n== Timing benches (Bechamel OLS: monotonic clock, minor-heap words)\n";
   List.iter
-    (fun (name, o) ->
-      let ns =
-        match Analyze.OLS.estimates o with Some (e :: _) -> e | _ -> Float.nan
-      in
+    (fun name ->
+      let o = Hashtbl.find clock name in
       let r2 = Option.value ~default:Float.nan (Analyze.OLS.r_square o) in
-      Printf.printf "%-40s %12.1f ns/run   (r^2 %.3f)\n" name ns r2)
-    (List.sort compare rows)
+      Printf.printf "%-40s %12.1f ns/run %10.1f words/run   (r^2 %.3f)\n" name
+        (estimate o)
+        (estimate (Hashtbl.find alloc name))
+        r2)
+    names

@@ -33,6 +33,20 @@ let jobs_arg =
     & opt int (Parallel.Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
+(* [--out] of the commands that publish a BENCH_* artefact. *)
+let out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "out" ] ~docv:"PATH" ~doc:"Write the report as JSON to $(docv).")
+
+let write_out out json =
+  Option.iter
+    (fun path ->
+      Report.write path json;
+      Printf.printf "wrote %s\n" path)
+    out
+
 (* Range-checked argument converters: a bad rate should die as a
    one-line usage error at parse time, not as an Invalid_argument
    backtrace out of the plan/policy constructors mid-run. *)
@@ -223,24 +237,12 @@ let serve_cmd =
     "Run the closed-loop KV serving tier (E23) and optionally write the JSON \
      benchmark artifact (the committed BENCH_serve.json)."
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"PATH" ~doc:"Write the report as JSON to $(docv).")
-  in
   let run seed scale jobs conditions out =
     let report =
       Experiments.Exp_serve.run ~jobs ~conditions (Prng.Rng.create seed) scale
     in
     Experiments.Table.print (Experiments.Exp_serve.to_table report);
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Experiments.Exp_serve.to_json report);
-        close_out oc;
-        Printf.printf "wrote %s\n" path)
-      out
+    write_out out (Experiments.Exp_serve.to_json report)
   in
   Cmd.v
     (Cmd.info "serve" ~doc)
@@ -251,22 +253,10 @@ let scale_cmd =
     "Run the stress scale tier (E25) and optionally write the JSON benchmark \
      artifact (the committed BENCH_scale.json)."
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"PATH" ~doc:"Write the report as JSON to $(docv).")
-  in
   let run seed scale jobs out =
     let report = Experiments.Exp_scale.run ~jobs (Prng.Rng.create seed) scale in
     Experiments.Table.print (Experiments.Exp_scale.to_table report);
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Experiments.Exp_scale.to_json report);
-        close_out oc;
-        Printf.printf "wrote %s\n" path)
-      out
+    write_out out (Experiments.Exp_scale.to_json report)
   in
   Cmd.v
     (Cmd.info "scale" ~doc)
@@ -277,12 +267,6 @@ let pow_cmd =
     "Run the PoW difficulty-controller sweep (E26) with tunable controller and \
      adversary knobs, and optionally write the JSON benchmark artifact (the \
      committed BENCH_pow.json)."
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"PATH" ~doc:"Write the report as JSON to $(docv).")
   in
   let floor_shift_arg =
     Arg.(
@@ -374,13 +358,7 @@ let pow_cmd =
     with
     | report ->
         Experiments.Table.print (Experiments.Exp_pow_epochs.to_table report);
-        Option.iter
-          (fun path ->
-            let oc = open_out path in
-            output_string oc (Experiments.Exp_pow_epochs.to_json report);
-            close_out oc;
-            Printf.printf "wrote %s\n" path)
-          out;
+        write_out out (Experiments.Exp_pow_epochs.to_json report);
         Ok ()
     | exception Invalid_argument msg -> Error (`Msg msg)
   in

@@ -303,46 +303,53 @@ let to_table r =
 let to_json r =
   let k = r.knobs in
   let row_json row =
-    Printf.sprintf
-      {|    {
-      "controller": "%s",
-      "strategy": "%s",
-      "beta": %.6f,
-      "good_evals": %d,
-      "bad_evals": %d,
-      "declined_evals": %d,
-      "vs_fixed": %.4f,
-      "mean_latency_steps": %.2f,
-      "closed_at_floor": %b,
-      "max_bad_per_window": %d,
-      "min_search_success": %.4f,
-      "survived": %b,
-      "wall_s": %.3f
-    }|}
-      (controller_label row.controller)
-      (Adversary.Join_schedule.label row.strategy)
-      row.beta row.good_evals row.bad_evals row.declined_evals row.vs_fixed
-      row.mean_latency row.closing_floor row.max_bad_window row.min_success
-      row.survived row.wall_s
+    Report.Obj
+      [
+        ("controller", Report.String (controller_label row.controller));
+        ("strategy", Report.String (Adversary.Join_schedule.label row.strategy));
+        ("beta", Report.fixed 6 row.beta);
+        ("good_evals", Report.Int row.good_evals);
+        ("bad_evals", Report.Int row.bad_evals);
+        ("declined_evals", Report.Int row.declined_evals);
+        ("vs_fixed", Report.fixed 4 row.vs_fixed);
+        ("mean_latency_steps", Report.fixed 2 row.mean_latency);
+        ("closed_at_floor", Report.Bool row.closing_floor);
+        ("max_bad_per_window", Report.Int row.max_bad_window);
+        ("min_search_success", Report.fixed 4 row.min_success);
+        ("survived", Report.Bool row.survived);
+        ("wall_s", Report.fixed 3 row.wall_s);
+      ]
   in
-  Printf.sprintf
-    {|{
-  "experiment": "e26",
-  "scale": "%s",
-  "n": %d,
-  "epochs": %d,
-  "searches_per_epoch": %d,
-  "competitive": {"floor_shift": %d, "ceiling_factor": %d, "subrounds": %d, "admission_slack": %.3f, "surge_tolerance": %.3f},
-  "adversary": {"burst_period": %d, "burst_active": %d, "stockpile": %d, "probe_price": "%d/%d"},
-  "notes": "good/bad/declined evals are exact controller-ledger integers (deterministic); wall_s is measured. vs_fixed normalises good spend by windows x good x T/2.",
-  "rows": [
-%s
-  ]
-}
-|}
-    (Scale.to_string r.scale) k.n k.epochs k.searches k.floor_shift
-    k.ceiling_factor k.subrounds k.admission_slack k.surge_tolerance
-    k.burst_period k.burst_active k.stockpile k.probe_num k.probe_den
-    (String.concat ",\n" (List.map row_json r.rows))
+  Report.Obj
+    [
+      ("experiment", Report.String "e26");
+      ("scale", Report.String (Scale.to_string r.scale));
+      ("n", Report.Int k.n);
+      ("epochs", Report.Int k.epochs);
+      ("searches_per_epoch", Report.Int k.searches);
+      ( "competitive",
+        Report.Obj
+          [
+            ("floor_shift", Report.Int k.floor_shift);
+            ("ceiling_factor", Report.Int k.ceiling_factor);
+            ("subrounds", Report.Int k.subrounds);
+            ("admission_slack", Report.fixed 3 k.admission_slack);
+            ("surge_tolerance", Report.fixed 3 k.surge_tolerance);
+          ] );
+      ( "adversary",
+        Report.Obj
+          [
+            ("burst_period", Report.Int k.burst_period);
+            ("burst_active", Report.Int k.burst_active);
+            ("stockpile", Report.Int k.stockpile);
+            ("probe_price", Report.String (Printf.sprintf "%d/%d" k.probe_num k.probe_den));
+          ] );
+      ( "notes",
+        Report.String
+          "good/bad/declined evals are exact controller-ledger integers \
+           (deterministic); wall_s is measured. vs_fixed normalises good spend by \
+           windows x good x T/2." );
+      ("rows", Report.List (List.map row_json r.rows));
+    ]
 
 let run_e26 ?(jobs = 1) rng scale = to_table (run ~jobs rng scale)

@@ -84,7 +84,7 @@ val find_row :
 val to_table : report -> Table.t
 (** Deterministic fields only (digest-checked via the golden net). *)
 
-val to_json : report -> string
+val to_json : report -> Report.t
 (** Full report including measured wall-clock. *)
 
 val run_e26 : ?jobs:int -> Prng.Rng.t -> Scale.t -> Table.t

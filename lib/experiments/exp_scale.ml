@@ -233,41 +233,54 @@ let to_table r =
 
 let to_json r =
   let side_json s =
-    Printf.sprintf
-      {|{"mean_group_size": %.4f, "msgs_per_node": %.2f, "red": %d, "heap_words_per_node": %d, "build_wall_s": %.3f}|}
-      s.mean_g s.comm s.red s.words_per_node s.build_s
+    Report.Obj
+      [
+        ("mean_group_size", Report.fixed 4 s.mean_g);
+        ("msgs_per_node", Report.fixed 2 s.comm);
+        ("red", Report.Int s.red);
+        ("heap_words_per_node", Report.Int s.words_per_node);
+        ("build_wall_s", Report.fixed 3 s.build_s);
+      ]
   in
   let row_json row =
-    Printf.sprintf
-      {|    {
-      "n": %d,
-      "churn_k": %d,
-      "tiny": %s,
-      "logn": %s,
-      "comm_gap": %.4f,
-      "jobs_deterministic": %b,
-      "build_jobs4_wall_s": %.3f,
-      "depart": {"member_updates": %d, "wall_s": %.3f},
-      "join": {"member_updates": %d, "wall_s": %.3f, "lone_leaders": %d, "overlay_rebuilds": %d},
-      "peak_rss_kb": %d
-    }|}
-      row.n row.k (side_json row.tiny) (side_json row.logn) row.gap
-      row.jobs_match row.build_j4_s row.depart_updates row.depart_s
-      row.join_updates row.join_s row.join_lone_leaders
-      row.join_overlay_rebuilds row.rss_kb
+    Report.Obj
+      [
+        ("n", Report.Int row.n);
+        ("churn_k", Report.Int row.k);
+        ("tiny", side_json row.tiny);
+        ("logn", side_json row.logn);
+        ("comm_gap", Report.fixed 4 row.gap);
+        ("jobs_deterministic", Report.Bool row.jobs_match);
+        ("build_jobs4_wall_s", Report.fixed 3 row.build_j4_s);
+        ( "depart",
+          Report.Obj
+            [
+              ("member_updates", Report.Int row.depart_updates);
+              ("wall_s", Report.fixed 3 row.depart_s);
+            ] );
+        ( "join",
+          Report.Obj
+            [
+              ("member_updates", Report.Int row.join_updates);
+              ("wall_s", Report.fixed 3 row.join_s);
+              ("lone_leaders", Report.Int row.join_lone_leaders);
+              ("overlay_rebuilds", Report.Int row.join_overlay_rebuilds);
+            ] );
+        ("peak_rss_kb", Report.Int row.rss_kb);
+      ]
   in
-  Printf.sprintf
-    {|{
-  "experiment": "e25",
-  "scale": "%s",
-  "beta": %.2f,
-  "notes": "peak_rss_kb is the process-wide VmHWM sampled after the row completes (monotone across rows; per-n attribution assumes --jobs 1, as make bench-scale runs). heap_words_per_node counts all words reachable from the graph, including the ring/overlay shared between the two schemes.",
-  "rows": [
-%s
-  ]
-}
-|}
-    (Scale.to_string r.scale) beta
-    (String.concat ",\n" (List.map row_json r.rows))
+  Report.Obj
+    [
+      ("experiment", Report.String "e25");
+      ("scale", Report.String (Scale.to_string r.scale));
+      ("beta", Report.Float beta);
+      ( "notes",
+        Report.String
+          "peak_rss_kb is the process-wide VmHWM sampled after the row completes \
+           (monotone across rows; per-n attribution assumes --jobs 1, as make \
+           bench-scale runs). heap_words_per_node counts all words reachable from \
+           the graph, including the ring/overlay shared between the two schemes." );
+      ("rows", Report.List (List.map row_json r.rows));
+    ]
 
 let run_e25 ?(jobs = 1) rng scale = to_table (run ~jobs rng scale)

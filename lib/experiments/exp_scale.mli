@@ -49,7 +49,7 @@ val run : ?jobs:int -> Prng.Rng.t -> Scale.t -> report
 val to_table : report -> Table.t
 (** Deterministic fields only (digest-checked via the golden net). *)
 
-val to_json : report -> string
+val to_json : report -> Report.t
 (** Full report including the measured wall-clock/RSS/heap fields. *)
 
 val run_e25 : ?jobs:int -> Prng.Rng.t -> Scale.t -> Table.t

@@ -484,69 +484,59 @@ let to_table r =
   Table.add_note table (Printf.sprintf "conditions: %s" r.conditions_desc);
   table
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let latencies (c : class_report) =
+  [
+    ("p50_ms", Report.fixed 1 c.p50);
+    ("p99_ms", Report.fixed 1 c.p99);
+    ("p999_ms", Report.fixed 1 c.p999);
+  ]
 
 let class_json (c : class_report) =
-  Printf.sprintf
-    {|{"ops": %d, "ok": %d, "messages": %d, "p50_ms": %.1f, "p99_ms": %.1f, "p999_ms": %.1f}|}
-    c.ops c.ok c.msgs c.p50 c.p99 c.p999
+  Report.Obj
+    (("ops", Report.Int c.ops) :: ("ok", Report.Int c.ok)
+    :: ("messages", Report.Int c.msgs) :: latencies c)
+
+(* The steady/transition rows come from latency histograms alone:
+   their [ok] and [msgs] are placeholders, so they stay out. *)
+let window_json (c : class_report) = Report.Obj (("ops", Report.Int c.ops) :: latencies c)
 
 let to_json r =
   let sz = r.sizing in
   let mode_json m =
-    Printf.sprintf
-      {|    {
-      "route_cache": %b,
-      "classes": {
-        "get": %s,
-        "put": %s,
-        "delete": %s
-      },
-      "steady": %s,
-      "transition": %s,
-      "virtual_elapsed_ms": %d,
-      "ops_per_sec": %.2f,
-      "route_cache_hits": %d,
-      "route_cache_misses": %d,
-      "route_cache_invalidations": %d,
-      "hit_rate": %.4f,
-      "ops_dropped": %d,
-      "ops_retried": %d
-    }|}
-      m.cache (class_json m.get_) (class_json m.put_) (class_json m.delete_)
-      (class_json m.steady_) (class_json m.transition_) m.elapsed_ms m.ops_per_sec
-      m.cache_hits m.cache_misses m.cache_invalidations m.hit_rate m.dropped
-      m.retried
+    Report.Obj
+      [
+        ("route_cache", Report.Bool m.cache);
+        ( "classes",
+          Report.Obj
+            [
+              ("get", class_json m.get_);
+              ("put", class_json m.put_);
+              ("delete", class_json m.delete_);
+            ] );
+        ("steady", window_json m.steady_);
+        ("transition", window_json m.transition_);
+        ("virtual_elapsed_ms", Report.Int m.elapsed_ms);
+        ("ops_per_sec", Report.fixed 2 m.ops_per_sec);
+        ("route_cache_hits", Report.Int m.cache_hits);
+        ("route_cache_misses", Report.Int m.cache_misses);
+        ("route_cache_invalidations", Report.Int m.cache_invalidations);
+        ("hit_rate", Report.fixed 4 m.hit_rate);
+        ("ops_dropped", Report.Int m.dropped);
+        ("ops_retried", Report.Int m.retried);
+      ]
   in
-  Printf.sprintf
-    {|{
-  "experiment": "e23",
-  "scale": "%s",
-  "n": %d,
-  "cohorts": %d,
-  "users_per_cohort": %d,
-  "ops_per_user_per_segment": %d,
-  "segments": %d,
-  "conditions": "%s",
-  "modes": [
-%s
-  ]
-}
-|}
-    (Scale.to_string r.scale) sz.n sz.cohorts sz.users sz.ops_per_user sz.segments
-    (json_escape r.conditions_desc)
-    (String.concat ",\n" (List.map mode_json r.modes))
+  Report.Obj
+    [
+      ("experiment", Report.String "e23");
+      ("scale", Report.String (Scale.to_string r.scale));
+      ("n", Report.Int sz.n);
+      ("cohorts", Report.Int sz.cohorts);
+      ("users_per_cohort", Report.Int sz.users);
+      ("ops_per_user_per_segment", Report.Int sz.ops_per_user);
+      ("segments", Report.Int sz.segments);
+      ("conditions", Report.String r.conditions_desc);
+      ("modes", Report.List (List.map mode_json r.modes));
+    ]
 
 let run_e23 ?(jobs = 1) ?(conditions = Sim.Conditions.none) rng scale =
   to_table (run ~jobs ~conditions rng scale)

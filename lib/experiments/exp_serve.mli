@@ -71,8 +71,9 @@ val run :
   ?jobs:int -> ?conditions:Sim.Conditions.t -> Prng.Rng.t -> Scale.t -> report
 
 val to_table : report -> Table.t
-val to_json : report -> string
-(** The committed [BENCH_serve.json] artifact. *)
+val to_json : report -> Report.t
+(** The committed [BENCH_serve.json] artifact. The steady and
+    transition windows carry op counts and latencies only. *)
 
 val run_e23 :
   ?jobs:int -> ?conditions:Sim.Conditions.t -> Prng.Rng.t -> Scale.t -> Table.t

@@ -198,12 +198,6 @@ let run_window t ~good ~bad_budget ?(spends_at = fun ~price:_ -> true) () =
   t.declined_ledger <- t.declined_ledger + w.declined_spend;
   w
 
-let note_admission t ~bad =
-  let price = t.price in
-  if bad then t.bad_ledger <- t.bad_ledger + price
-  else t.good_ledger <- t.good_ledger + price;
-  price
-
 let windows t = t.windows_
 let cumulative_good_spend t = t.good_ledger
 let cumulative_bad_spend t = t.bad_ledger

@@ -147,21 +147,14 @@ val run_window :
     {!Adversary.Join_schedule} implements. Updates the carried price
     and re-entry tickets and accumulates the cumulative ledgers. *)
 
-val note_admission : t -> bad:bool -> int
-(** One out-of-window admission (a single {!Tinygroups.Dynamic}-style
-    join between epochs): returns the entrance price charged at the
-    current difficulty and adds it to the cumulative good or bad
-    ledger. Individual admissions do not move the price — re-pricing
-    is a window-volume decision ({!run_window}). *)
-
 val windows : t -> int
 (** Completed {!run_window} calls. *)
 
 val cumulative_good_spend : t -> int
 val cumulative_bad_spend : t -> int
 val cumulative_declined_spend : t -> int
-(** Lifetime ledgers over every window (plus {!note_admission} for
-    the good side) — the quantities the resource-competitive bound
-    [good ≤ windows × n × floor + O(bad)] relates (DESIGN.md §12). *)
+(** Lifetime ledgers over every window — the quantities the
+    resource-competitive bound [good ≤ windows × n × floor + O(bad)]
+    relates (DESIGN.md §12). *)
 
 val pp : Format.formatter -> t -> unit

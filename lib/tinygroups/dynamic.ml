@@ -126,25 +126,7 @@ let join_one rng metrics ~params ~old_pair ~member_oracle ~overlay ~prev_ring
   in
   (grp, ok, captured, newly_confused)
 
-(* Entrance fee of one out-of-window admission: the controller's
-   current price, charged to the joiner's side of the ledger and
-   mirrored into the [pow.*] counters. Pure arithmetic — no PRNG
-   stream is touched, so [?pow:None] callers are byte-identical to
-   the pre-controller code. *)
-let pow_charge pow metrics ~bad =
-  Option.iter
-    (fun ctrl ->
-      let price = Pow.Controller.note_admission ctrl ~bad in
-      Sim.Metrics.add metrics Sim.Metrics.pow_hash_evals price;
-      if bad then begin
-        Sim.Metrics.add metrics Sim.Metrics.pow_bad_evals price;
-        Sim.Metrics.incr metrics Sim.Metrics.pow_bad_admitted
-      end
-      else Sim.Metrics.add metrics Sim.Metrics.pow_good_evals price)
-    pow
-
-let join ?pow rng metrics g ~old_pair ~member_oracle ~id ~bad =
-  pow_charge pow metrics ~bad;
+let join rng metrics g ~old_pair ~member_oracle ~id ~bad =
   let pop = Group_graph.population g in
   if Ring.mem id (Population.ring pop) then invalid_arg "Dynamic.join: ID already present";
   let params = Group_graph.params g in
@@ -184,8 +166,7 @@ let join ?pow rng metrics g ~old_pair ~member_oracle ~id ~bad =
         cost.searches cost.messages cost.affected_groups (Group.size grp));
   (g', cost)
 
-let join_many ?pow rng metrics g ~old_pair ~member_oracle ~ids =
-  List.iter (fun (_, bad) -> pow_charge pow metrics ~bad) ids;
+let join_many rng metrics g ~old_pair ~member_oracle ~ids =
   let pop0 = Group_graph.population g in
   let ring0 = Population.ring pop0 in
   let seen = Hashtbl.create (max 16 (List.length ids)) in

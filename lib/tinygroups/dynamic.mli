@@ -34,7 +34,6 @@ type cost = {
 }
 
 val join :
-  ?pow:Pow.Controller.t ->
   Prng.Rng.t ->
   Sim.Metrics.t ->
   Group_graph.t ->
@@ -47,18 +46,10 @@ val join :
     epoch construction. The newcomer's searches draw from a stream
     keyed on its identity ([Prng.Rng.of_subkey] of a base drawn from
     [rng] at the ID's turn), and the one overlay reconstruction is
-    counted under {!Sim.Metrics.overlay_rebuilds}.
-
-    When a difficulty controller is passed via [?pow], the newcomer
-    first pays the controller's current entrance price
-    ({!Pow.Controller.note_admission}): the fee lands in the
-    controller's ledger and the [pow.*] metrics counters. The charge
-    is PRNG-free, so omitting [?pow] reproduces the pre-controller
-    behaviour byte-for-byte. Raises [Invalid_argument] if [id] is
-    already present. *)
+    counted under {!Sim.Metrics.overlay_rebuilds}. Raises
+    [Invalid_argument] if [id] is already present. *)
 
 val join_many :
-  ?pow:Pow.Controller.t ->
   Prng.Rng.t ->
   Sim.Metrics.t ->
   Group_graph.t ->
@@ -76,9 +67,8 @@ val join_many :
     run it — the j-th newcomer sees a ring holding the first j-1,
     queried through memo-free neighbour functions instead of per-ID
     overlay reconstructions — so the resulting graph and aggregate
-    cost equal the fold's (pinned by a test). [?pow] charges every
-    newcomer's entrance fee exactly as {!join} does, in batch order.
-    Raises [Invalid_argument] on a present or duplicated ID. *)
+    cost equal the fold's (pinned by a test). Raises
+    [Invalid_argument] on a present or duplicated ID. *)
 
 val depart : Group_graph.t -> id:Point.t -> Group_graph.t * cost
 (** Remove [id]. Raises [Invalid_argument] if absent. *)
