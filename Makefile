@@ -9,7 +9,8 @@ check: check-seeds
 # experiments: E21/E22, their fault-free anchor E19, the agreement
 # sublayer E24, and the PoW controller sweep E26 at three distinct
 # seeds, so seed-dependent regressions (not just seed-1 goldens)
-# surface before a commit.
+# surface before a commit; then the epoch-transition jobs sweep
+# (jobs 1/2/4 byte-identical) at the same seeds.
 check-seeds:
 	dune build && dune runtest
 	@for seed in 1 7 1337; do \

@@ -45,6 +45,13 @@ let print_agreement_table () =
     (Experiments.Exp_agreement.message_count_rows ());
   print_string "  ]\n"
 
+let usage = "usage: regen_goldens.exe [--out FILE] [--jobs N>=1] [--agreement-table]"
+
+(* Bad input stops here, before anything is written. *)
+let die msg =
+  prerr_endline ("regen_goldens: " ^ msg ^ "; " ^ usage);
+  exit 2
+
 let () =
   let out = ref "test/golden_digests.txt" in
   let jobs = ref (Parallel.Pool.default_jobs ()) in
@@ -55,12 +62,15 @@ let () =
         out := p;
         go rest
     | "--jobs" :: n :: rest ->
-        jobs := max 1 (int_of_string n);
+        (match int_of_string_opt n with
+        | Some j when j >= 1 -> jobs := j
+        | _ -> die (Printf.sprintf "--jobs wants an integer >= 1, got %S" n));
         go rest
     | "--agreement-table" :: rest ->
         agreement_only := true;
         go rest
-    | arg :: _ -> failwith ("unknown argument: " ^ arg)
+    | [ ("--out" | "--jobs") as flag ] -> die (flag ^ " wants a value")
+    | arg :: _ -> die ("unknown argument " ^ arg)
   in
   go (List.tl (Array.to_list Sys.argv));
   if !agreement_only then print_agreement_table ()

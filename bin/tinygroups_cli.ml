@@ -6,6 +6,20 @@
 
 open Cmdliner
 
+(* Range-checked argument converters: bad input should die as a
+   one-line usage error at parse time, not as a silent clamp or an
+   Invalid_argument backtrace out of a constructor mid-run. *)
+let int_at_least_conv lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo -> Ok v
+    | Some _ -> Error (`Msg (Printf.sprintf "%s: must be >= %d" s lo))
+    | None -> Error (`Msg (Printf.sprintf "%s: expected an integer >= %d" s lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let nonneg_int_conv = int_at_least_conv 0
+
 let seed_arg =
   let doc = "PRNG seed; every run is a pure function of it." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -30,7 +44,7 @@ let jobs_arg =
   in
   Arg.(
     value
-    & opt int (Parallel.Pool.default_jobs ())
+    & opt (int_at_least_conv 1) (Parallel.Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 (* [--out] of the commands that publish a BENCH_* artefact. *)
@@ -47,9 +61,6 @@ let write_out out json =
       Printf.printf "wrote %s\n" path)
     out
 
-(* Range-checked argument converters: a bad rate should die as a
-   one-line usage error at parse time, not as an Invalid_argument
-   backtrace out of the plan/policy constructors mid-run. *)
 let probability_conv =
   let parse s =
     match float_of_string_opt s with
@@ -59,14 +70,14 @@ let probability_conv =
   in
   Arg.conv (parse, Format.pp_print_float)
 
-let nonneg_int_conv =
+let fraction_conv =
   let parse s =
-    match int_of_string_opt s with
-    | Some v when v >= 0 -> Ok v
-    | Some _ -> Error (`Msg (s ^ ": must be >= 0"))
-    | None -> Error (`Msg (s ^ ": expected a non-negative integer"))
+    match float_of_string_opt s with
+    | Some p when p >= 0. && p < 1. -> Ok p
+    | Some _ -> Error (`Msg (s ^ ": must lie in [0,1)"))
+    | None -> Error (`Msg (s ^ ": expected a fraction in [0,1)"))
   in
-  Arg.conv (parse, Format.pp_print_int)
+  Arg.conv (parse, Format.pp_print_float)
 
 let multiplier_conv =
   let parse s =
@@ -204,12 +215,21 @@ let experiment_cmd spec =
 
 let epochs_cmd =
   let doc = "Run the two-graph epoch protocol and print per-epoch health." in
-  let n_arg = Arg.(value & opt int 1024 & info [ "n" ] ~docv:"N" ~doc:"System size.") in
+  let n_arg =
+    Arg.(
+      value
+      & opt (int_at_least_conv 3) 1024
+      & info [ "n" ] ~docv:"N" ~doc:"System size (>= 3).")
+  in
   let beta_arg =
-    Arg.(value & opt float 0.05 & info [ "beta" ] ~docv:"BETA" ~doc:"Adversary share.")
+    Arg.(
+      value
+      & opt fraction_conv 0.05
+      & info [ "beta" ] ~docv:"BETA" ~doc:"Adversary share, in [0,1).")
   in
   let epochs_arg =
-    Arg.(value & opt int 6 & info [ "epochs" ] ~docv:"E" ~doc:"Epochs to run.")
+    Arg.(
+      value & opt nonneg_int_conv 6 & info [ "epochs" ] ~docv:"E" ~doc:"Epochs to run.")
   in
   let single_arg =
     Arg.(value & flag & info [ "single" ] ~doc:"Use the naive single-graph ablation.")

@@ -67,17 +67,6 @@ let good_ids t = Array.copy (good_ids_cached t)
 
 let bad_ids t = Ring.to_sorted_array t.bad
 
-let add_good t p =
-  if Ring.mem p t.ring then invalid_arg "Population.add_good: ID already present";
-  { t with ring = Ring.add p t.ring; good_cache = None }
-
-let add_bad t p =
-  if Ring.mem p t.ring then invalid_arg "Population.add_bad: ID already present";
-  { ring = Ring.add p t.ring; bad = Ring.add p t.bad; good_cache = None }
-
-let remove t p =
-  { ring = Ring.remove p t.ring; bad = Ring.remove p t.bad; good_cache = None }
-
 let remove_batch t ps =
   { ring = Ring.remove_batch ps t.ring; bad = Ring.remove_batch ps t.bad; good_cache = None }
 
@@ -89,14 +78,10 @@ let add_batch t ~good ~bad =
         invalid_arg "Population.add_batch: ID already present")
     all;
   let ring = Ring.add_batch all t.ring in
-  (* [Ring.add_batch] absorbs intra-list duplicates; folding
-     {!add_good}/{!add_bad} would raise on them, so keep the
-     equivalence. *)
+  (* [Ring.add_batch] absorbs intra-list duplicates; reject them. *)
   if Ring.cardinal ring <> Ring.cardinal t.ring + List.length all then
     invalid_arg "Population.add_batch: duplicate IDs in batch";
   { ring; bad = Ring.add_batch bad t.bad; good_cache = None }
-
-let add_good_batch t ps = add_batch t ~good:ps ~bad:[]
 
 let random_good rng t =
   let good = good_ids_cached t in

@@ -41,24 +41,14 @@ val good_ids : t -> Point.t array
 val bad_ids : t -> Point.t array
 val all_ids : t -> Point.t array
 
-val add_good : t -> Point.t -> t
-val add_bad : t -> Point.t -> t
-val remove : t -> Point.t -> t
-(** Functional updates for churn; removing an absent ID is a no-op. *)
-
 val remove_batch : t -> Point.t list -> t
-(** One merged pass over the rings — equivalent to folding {!remove}
-    over the list, in O(n + k log k) instead of O(nk). *)
+(** Functional removal for churn, in one merged pass over the rings:
+    O(n + k log k). Absent IDs are ignored. *)
 
 val add_batch : t -> good:Point.t list -> bad:Point.t list -> t
-(** One merged pass over the rings — equivalent to folding
-    {!add_good} and {!add_bad} over the two lists, in O(n + k log k)
-    instead of O(nk). Raises [Invalid_argument] if any ID is already
-    present or the lists contain duplicates (where the fold would
-    raise too). *)
-
-val add_good_batch : t -> Point.t list -> t
-(** [add_batch ~bad:[]]. *)
+(** Functional admission for churn, in one merged pass over the
+    rings: O(n + k log k). Raises [Invalid_argument] if any ID is
+    already present or the lists contain duplicates. *)
 
 val random_good : Prng.Rng.t -> t -> Point.t
 (** A uniform good ID; raises [Invalid_argument] if none exist. *)

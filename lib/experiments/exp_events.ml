@@ -33,8 +33,8 @@ let run_e18 ?(jobs = 1) rng scale =
           let id = Idspace.Point.random stream in
           let bad = Prng.Rng.bernoulli stream beta in
           let g', cost =
-            Tinygroups.Dynamic.join (Prng.Rng.split stream) metrics !live ~old_pair
-              ~member_oracle:h2 ~id ~bad
+            Tinygroups.Dynamic.join_many (Prng.Rng.split stream) metrics !live
+              ~old_pair ~member_oracle:h2 ~ids:[ (id, bad) ]
           in
           live := g';
           js := !js + cost.Tinygroups.Dynamic.searches;
@@ -44,7 +44,7 @@ let run_e18 ?(jobs = 1) rng scale =
              swap model). *)
           let leaders = Tinygroups.Group_graph.leaders !live in
           let victim = leaders.(Prng.Rng.int stream (Array.length leaders)) in
-          let g'', dcost = Tinygroups.Dynamic.depart !live ~id:victim in
+          let g'', dcost = Tinygroups.Dynamic.depart_many !live ~ids:[ victim ] in
           live := g'';
           da := !da + dcost.Tinygroups.Dynamic.affected_groups
         done;

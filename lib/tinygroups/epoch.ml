@@ -224,10 +224,8 @@ let init ?(conditions = Sim.Conditions.none) rng config =
    test_epoch pins. *)
 let build_next t ~old ~new_pop ~new_overlay ~member_oracle ~phase =
   let params = t.config.params in
-  let old_pop = Group_graph.population Membership.(old.g1) in
   let new_ring = Population.ring new_pop in
   let n = Ring.cardinal new_ring in
-  let now = t.epoch_ in
   let phase_base =
     Prng.Rng.subkey t.stream_key (Int64.of_int ((2 * t.epoch_) + phase))
   in
@@ -242,63 +240,25 @@ let build_next t ~old ~new_pop ~new_overlay ~member_oracle ~phase =
   let run_slice (lo, hi) =
     let metrics = Sim.Metrics.create () in
     let conds = Sim.Conditions.fork t.conds ~metrics in
-    let inj =
-      match conds.Sim.Conditions.injector with
-      | Some i -> i
-      | None -> Faults.Injector.disabled ()
-    in
     let confused = Sim.Series.create () and suspect = Sim.Series.create () in
     let groups = ref [] in
     for rank = lo to hi - 1 do
       let w = Ring.nth new_ring rank in
       let leader_key = Prng.Rng.subkey phase_base (Int64.of_int rank) in
       Sim.Conditions.reseed conds ~key:leader_key;
-      let rng = Prng.Rng.of_int64 leader_key in
-      let ln_ln_estimate = Estimate.ln_ln_n new_ring w in
-      let draws = Params.member_draws_estimated params ~ln_ln_estimate in
-      let members = ref [] in
-      for i = 1 to draws do
-        let point =
-          Point.of_u62 (Hashing.Oracle.query_indexed member_oracle (Point.to_u62 w) i)
-        in
-        (* Environmental faults apply per individual search inside
-           the dual protocol (the slice's forked conditions); a
-           member that is crashed right now additionally cannot
-           answer the solicitation. *)
-        (match Membership.solicit_member ~conditions:conds rng metrics old ~point with
-        | Some m when Faults.Injector.crashed inj ~now m ->
-            Sim.Metrics.incr metrics Sim.Metrics.fault_suppressed
-        | Some m -> members := m :: !members
-        | None -> ())
-      done;
-      (* A group that lost every member draw cannot operate: the
-         leader stands alone and the group is surely not good. The
-         counter gives stress runs the same observability hook as
-         fault_suppressed. *)
-      let members =
-        if !members = [] then begin
-          Sim.Metrics.incr metrics Sim.Metrics.group_lone_leader;
-          [ w ]
-        end
-        else !members
+      let grp, linked, _ =
+        Membership.form_group ~conditions:conds (Prng.Rng.of_int64 leader_key) metrics
+          old ~now:t.epoch_ ~params ~member_oracle ~ring:new_ring ~leader:w
+          ~neighbors:(new_overlay.Overlay.Overlay_intf.neighbors w)
       in
-      let grp = Group.form params old_pop ~leader:w ~members in
       groups := (w, grp) :: !groups;
-      (* Neighbour links per the new topology; any failed
-         establishment leaves the group confused (Lemma 8) — unless a
-         reliability layer is armed, in which case a group that
-         exhausted its retry budget {e knows} the link is undelivered
-         rather than misdelivered, and marks the route suspect
-         (degraded, not poisoned) instead of joining the red set. *)
-      let ok =
-        List.for_all
-          (fun u ->
-            (not (Faults.Injector.severed inj ~now ~src:(Some w) ~dst:u))
-            && Membership.establish_neighbor ~conditions:conds rng metrics old
-                 ~target:u)
-          (new_overlay.Overlay.Overlay_intf.neighbors w)
-      in
-      if not ok then
+      (* Any failed link establishment leaves the group confused
+         (Lemma 8) — unless a reliability layer is armed, in which
+         case a group that exhausted its retry budget {e knows} the
+         link is undelivered rather than misdelivered, and marks the
+         route suspect (degraded, not poisoned) instead of joining
+         the red set. *)
+      if not linked then
         if tracker_active then Sim.Series.push suspect w
         else Sim.Series.push confused w
     done;

@@ -121,6 +121,58 @@ let establish_neighbor ?(conditions = Sim.Conditions.inert) rng metrics pair
       verification_search ~conditions rng metrics pair ~verifier:target
         ~point:target
 
+let request_searches = 4
+
+let form_group ?(conditions = Sim.Conditions.inert) rng metrics pair ~now ~params
+    ~member_oracle ~ring ~leader ~neighbors =
+  let injector = conditions.Sim.Conditions.injector in
+  let crashed m =
+    match injector with Some inj -> Faults.Injector.crashed inj ~now m | None -> false
+  in
+  let severed u =
+    match injector with
+    | Some inj -> Faults.Injector.severed inj ~now ~src:(Some leader) ~dst:u
+    | None -> false
+  in
+  let searches = ref 0 in
+  let draws =
+    Params.member_draws_estimated params
+      ~ln_ln_estimate:(Estimate.ln_ln_n ring leader)
+  in
+  let members = ref [] in
+  for i = 1 to draws do
+    let point =
+      Point.of_u62 (Hashing.Oracle.query_indexed member_oracle (Point.to_u62 leader) i)
+    in
+    searches := !searches + request_searches;
+    (* Environmental faults apply per individual search inside the
+       dual protocol; a member that is crashed right now additionally
+       cannot answer the solicitation. *)
+    match solicit_member ~conditions rng metrics pair ~point with
+    | Some m when crashed m -> Sim.Metrics.incr metrics Sim.Metrics.fault_suppressed
+    | Some m -> members := m :: !members
+    | None -> ()
+  done;
+  (* A group that lost every member draw cannot operate: the leader
+     stands alone and the group is surely not good. *)
+  let members =
+    if !members = [] then begin
+      Sim.Metrics.incr metrics Sim.Metrics.group_lone_leader;
+      [ leader ]
+    end
+    else !members
+  in
+  let grp = Group.form params (old_population pair) ~leader ~members in
+  let linked =
+    List.for_all
+      (fun u ->
+        (not (severed u))
+        && (searches := !searches + request_searches;
+            establish_neighbor ~conditions rng metrics pair ~target:u))
+      neighbors
+  in
+  (grp, linked, !searches)
+
 let spam_accepted ?(conditions = Sim.Conditions.inert) rng metrics pair ~victim =
   (* A bogus request names a point that does not map to the victim;
      the honest answer is a rejection, so acceptance requires at

@@ -119,6 +119,45 @@ val establish_neighbor :
     {e and} the counterpart's verification succeeds (Lemma 8's two
     failure cases). *)
 
+val request_searches : int
+(** Routed searches one solicitation or link request costs at most:
+    a dual lookup plus the counterpart's dual verification (4). *)
+
+val form_group :
+  ?conditions:Sim.Conditions.active ->
+  Prng.Rng.t ->
+  Sim.Metrics.t ->
+  old_pair ->
+  now:int ->
+  params:Params.t ->
+  member_oracle:Hashing.Oracle.t ->
+  ring:Ring.t ->
+  leader:Point.t ->
+  neighbors:Point.t list ->
+  Group.t * bool * int
+(** The §III-A protocol that forms one new group, shared by the epoch
+    transition and per-event joins (footnote 13 prices a join as this
+    protocol applied to one ID):
+
+    + draw [Params.member_draws_estimated] member points for [leader]
+      from [member_oracle], sized by the leader's own [ln ln n]
+      estimate against [ring] (the new ring, holding [leader]);
+    + {!solicit_member} each point in draw order, dropping members
+      that [conditions]' injector reports crashed at epoch [now]
+      (counted under {!Sim.Metrics.fault_suppressed});
+    + if no draw produced a member, the leader stands alone
+      (counted under {!Sim.Metrics.group_lone_leader});
+    + form the group against the old population's ground truth;
+    + {!establish_neighbor} each of [neighbors] in order, stopping at
+      the first failure; a link the injector partitions away at [now]
+      fails without a search.
+
+    Returns the group, whether every link landed, and the searches
+    issued ({!request_searches} per solicitation or link attempt).
+    All draws come from [rng] in the order above. Crash and partition
+    state is read only from [conditions]; under the default
+    {!Sim.Conditions.inert} [now] is never read. *)
+
 val spam_accepted :
   ?conditions:Sim.Conditions.active ->
   Prng.Rng.t ->

@@ -71,15 +71,30 @@ let test_population_rejects_overlap () =
 
 let test_population_churn_ops () =
   let pop = Adversary.Population.make ~good:[ Point.of_float 0.1 ] ~bad:[ Point.of_float 0.9 ] in
-  let pop2 = Adversary.Population.add_bad pop (Point.of_float 0.5) in
-  Alcotest.(check int) "added" 3 (Adversary.Population.n pop2);
+  let pop2 =
+    Adversary.Population.add_batch pop ~good:[ Point.of_float 0.3 ]
+      ~bad:[ Point.of_float 0.5 ]
+  in
+  Alcotest.(check int) "added" 4 (Adversary.Population.n pop2);
   Alcotest.(check int) "two bad" 2 (Adversary.Population.bad_count pop2);
-  let pop3 = Adversary.Population.remove pop2 (Point.of_float 0.9) in
-  Alcotest.(check int) "removed" 2 (Adversary.Population.n pop3);
+  Alcotest.(check bool) "added bad ID is bad" true
+    (Adversary.Population.is_bad pop2 (Point.of_float 0.5));
+  Alcotest.(check bool) "added good ID is good" false
+    (Adversary.Population.is_bad pop2 (Point.of_float 0.3));
+  Alcotest.check_raises "present ID rejected"
+    (Invalid_argument "Population.add_batch: ID already present") (fun () ->
+      ignore (Adversary.Population.add_batch pop2 ~good:[ Point.of_float 0.1 ] ~bad:[]));
+  Alcotest.check_raises "duplicate ID rejected"
+    (Invalid_argument "Population.add_batch: duplicate IDs in batch") (fun () ->
+      ignore
+        (Adversary.Population.add_batch pop2 ~good:[ Point.of_float 0.7 ]
+           ~bad:[ Point.of_float 0.7 ]));
+  let pop3 = Adversary.Population.remove_batch pop2 [ Point.of_float 0.9 ] in
+  Alcotest.(check int) "removed" 3 (Adversary.Population.n pop3);
   Alcotest.(check int) "one bad left" 1 (Adversary.Population.bad_count pop3);
   (* Removing an absent ID is a no-op. *)
-  let pop4 = Adversary.Population.remove pop3 (Point.of_float 0.77) in
-  Alcotest.(check int) "no-op remove" 2 (Adversary.Population.n pop4)
+  let pop4 = Adversary.Population.remove_batch pop3 [ Point.of_float 0.77 ] in
+  Alcotest.(check int) "no-op remove" 3 (Adversary.Population.n pop4)
 
 let test_random_good () =
   let pop =

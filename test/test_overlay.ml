@@ -494,8 +494,8 @@ let test_chordpp_hop_bound () =
     true
     (st.Overlay.Probe.max_hops <= 40)
 
-(* Churn must keep a salted view's salt: after each of [depart],
-   [depart_many], [join] and [join_many], the graph's overlay routes
+(* Churn must keep a salted view's salt: after one-ID and two-ID
+   batches of [depart_many] and [join_many], the graph's overlay routes
    exactly like a fresh [Chord_pp.make ~salt] over the new ring, on a
    fixed set of (src, key) pairs where the salt changes the route. *)
 let test_chordpp_churn_keeps_salt () =
@@ -533,15 +533,15 @@ let test_chordpp_churn_keeps_salt () =
     Alcotest.(check bool) (label ^ ": the salt changes some route") true !salt_matters
   in
   let leaders = Tinygroups.Group_graph.leaders g in
-  let g1, _ = Tinygroups.Dynamic.depart g ~id:leaders.(5) in
-  check "depart" g1;
+  let g1, _ = Tinygroups.Dynamic.depart_many g ~ids:[ leaders.(5) ] in
+  check "one-ID depart_many" g1;
   let g2, _ = Tinygroups.Dynamic.depart_many g ~ids:[ leaders.(9); leaders.(200) ] in
   check "depart_many" g2;
   let g3, _ =
-    Tinygroups.Dynamic.join (Prng.Rng.split rng) metrics g ~old_pair ~member_oracle
-      ~id:(Point.of_float 0.123456789) ~bad:false
+    Tinygroups.Dynamic.join_many (Prng.Rng.split rng) metrics g ~old_pair ~member_oracle
+      ~ids:[ (Point.of_float 0.123456789, false) ]
   in
-  check "join" g3;
+  check "one-ID join_many" g3;
   let g4, _ =
     Tinygroups.Dynamic.join_many (Prng.Rng.split rng) metrics g ~old_pair ~member_oracle
       ~ids:[ (Point.of_float 0.31415926, false); (Point.of_float 0.8675309, true) ]
