@@ -67,7 +67,11 @@ let () =
         parse rest
     | arg :: _ -> die ("unknown argument " ^ arg)
   in
-  parse (List.tl (Array.to_list Sys.argv))
+  parse (List.tl (Array.to_list Sys.argv));
+  if not cli.determinism_only then
+    match Report.check_writable cli.out with
+    | Ok () -> ()
+    | Error msg -> die ("--out " ^ msg)
 
 (* Transition ns are far below the build_direct ns: one [advance]
    runs the full dual-search membership protocol for every leader

@@ -47,11 +47,17 @@ let jobs_arg =
     & opt (int_at_least_conv 1) (Parallel.Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-(* [--out] of the commands that publish a BENCH_* artefact. *)
+(* [--out] of the commands that publish a BENCH_* artefact. The path
+   is checked while parsing, so an unwritable one fails before the
+   run rather than after it. *)
 let out_arg =
+  let parse path =
+    Result.map (fun () -> path) (Report.check_writable path)
+    |> Result.map_error (fun msg -> `Msg msg)
+  in
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (conv (parse, Format.pp_print_string))) None
     & info [ "out" ] ~docv:"PATH" ~doc:"Write the report as JSON to $(docv).")
 
 let write_out out json =

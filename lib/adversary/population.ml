@@ -1,7 +1,7 @@
 open Idspace
 
 (* Both sides live in flat sorted rings: [is_bad] is a binary search
-   over unboxed keys and [bad_ids]/[bad_ring] are O(1)-ish snapshots
+   over unboxed points and [bad_ids]/[bad_ring] are O(1)-ish snapshots
    instead of set traversals. [good_cache] memoises the good-ID array
    (the population is immutable; functional updates build new records
    with a fresh cache). *)
@@ -30,9 +30,9 @@ let generate rng ~n ~beta ~strategy =
     if k = 0 then acc
     else begin
       let p = Point.random rng in
-      if Ring.mem p bad_ring || Hashtbl.mem seen (Point.to_key p) then draw_good acc k
+      if Ring.mem p bad_ring || Hashtbl.mem seen p then draw_good acc k
       else begin
-        Hashtbl.add seen (Point.to_key p) ();
+        Hashtbl.add seen p ();
         draw_good (p :: acc) (k - 1)
       end
     end

@@ -64,7 +64,7 @@ let run ?(conditions = Sim.Conditions.none) ?metrics rng ~n ~sender ~byzantine
   let deliver_quorum = (2 * f) + 1 in
   (* Process [i] is ring point [i + 1]: a stable address for fault
      plans (cuts, crashes, per-link rules) and circuit breakers. *)
-  let pts = Array.init n (fun i -> Point.of_u62 (Int64.of_int (i + 1))) in
+  let pts = Array.init n (fun i -> Point.add_cw Point.zero (i + 1)) in
   let messages = ref 0 and bits = ref 0 and dropped = ref 0 in
   let round = ref 0 in
   let count_metric name k =

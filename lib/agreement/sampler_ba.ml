@@ -29,7 +29,7 @@ let run ?(conditions = Sim.Conditions.none) ?metrics rng ~inputs ~byzantine
   let conds = Sim.Conditions.activate ?metrics conditions in
   let k = sample_size ~n in
   let cap = max_rounds ~n in
-  let pts = Array.init n (fun i -> Point.of_u62 (Int64.of_int (i + 1))) in
+  let pts = Array.init n (fun i -> Point.add_cw Point.zero (i + 1)) in
   (* The global coin's stream is split off first so adding polls
      never perturbs the coin sequence (and vice versa). *)
   let coin_rng = Prng.Rng.split rng in

@@ -28,9 +28,8 @@ let distinct_members g =
     (fun _ (grp : Tinygroups.Group.t) ->
       Array.iter
         (fun m ->
-          let k = Point.to_key m in
-          if not (Hashtbl.mem seen k) then begin
-            Hashtbl.add seen k ();
+          if not (Hashtbl.mem seen m) then begin
+            Hashtbl.add seen m ();
             out := m :: !out
           end)
         grp.Tinygroups.Group.members)

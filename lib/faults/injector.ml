@@ -1,11 +1,11 @@
 open Idspace
 
-(* Cut sides and crash ids are consulted per message; index them by
-   the 62-bit key once at creation. *)
+(* Cut sides and crash ids are consulted per message; index them once
+   at creation. *)
 type cut_state = {
   cut : Plan.cut;
-  in_a : (int64, unit) Hashtbl.t;
-  in_b : (int64, unit) Hashtbl.t;  (* empty table encodes "everyone else" *)
+  in_a : (Point.t, unit) Hashtbl.t;
+  in_b : (Point.t, unit) Hashtbl.t;  (* empty table encodes "everyone else" *)
   mutable cut_seen_active : bool;  (* some query landed inside the window *)
   mutable heal_counted : bool;
 }
@@ -25,13 +25,13 @@ type t = {
   metrics_ : Metrics_core.t;
   cuts : cut_state list;
   crashes : crash_state list;
-  crashed_ids : (int64, crash_state list) Hashtbl.t;
+  crashed_ids : (Point.t, crash_state list) Hashtbl.t;
   wildcard_drop : float;
 }
 
 let index_points pts =
   let h = Hashtbl.create (max 16 (List.length pts)) in
-  List.iter (fun p -> Hashtbl.replace h (Point.to_u62 p) ()) pts;
+  List.iter (fun p -> Hashtbl.replace h p ()) pts;
   h
 
 (* Disabled injectors never write [crashed_ids] ([enabled_ = false]
@@ -39,7 +39,7 @@ let index_points pts =
    empty table instead of allocating a degenerate one per call —
    [disabled] is called once per run at every conditions-free
    call site, which adds up at the stress tier. *)
-let no_crashed_ids : (int64, crash_state list) Hashtbl.t = Hashtbl.create 1
+let no_crashed_ids : (Point.t, crash_state list) Hashtbl.t = Hashtbl.create 1
 
 let disabled () =
   {
@@ -62,9 +62,9 @@ let create ?metrics (plan : Plan.t) =
   let crashed_ids = Hashtbl.create (max 16 (List.length crashes)) in
   List.iter
     (fun (s : crash_state) ->
-      let k = Point.to_u62 s.crash.Plan.id in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt crashed_ids k) in
-      Hashtbl.replace crashed_ids k (s :: prev))
+      let id = s.crash.Plan.id in
+      let prev = Option.value ~default:[] (Hashtbl.find_opt crashed_ids id) in
+      Hashtbl.replace crashed_ids id (s :: prev))
     crashes;
   {
     enabled_ = true;
@@ -115,9 +115,9 @@ let fork t ~metrics =
     let crashed_ids = Hashtbl.create (max 16 (List.length crashes)) in
     List.iter
       (fun (s : crash_state) ->
-        let k = Point.to_u62 s.crash.Plan.id in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt crashed_ids k) in
-        Hashtbl.replace crashed_ids k (s :: prev))
+        let id = s.crash.Plan.id in
+        let prev = Option.value ~default:[] (Hashtbl.find_opt crashed_ids id) in
+        Hashtbl.replace crashed_ids id (s :: prev))
       crashes;
     {
       t with
@@ -163,7 +163,7 @@ let crash_active (s : crash_state) ~now =
 let crashed t ~now id =
   t.enabled_
   &&
-  match Hashtbl.find_opt t.crashed_ids (Point.to_u62 id) with
+  match Hashtbl.find_opt t.crashed_ids id with
   | None -> false
   | Some cs -> List.exists (crash_active ~now) cs
 
@@ -181,7 +181,7 @@ let cut_active (s : cut_state) ~now =
    cuts side_a off from B *and* from everyone unnamed, exactly like
    the implicit "everyone else" of an empty side B. *)
 let crosses (s : cut_state) ~src ~dst =
-  let side h p = Hashtbl.mem h (Point.to_u62 p) in
+  let side h p = Hashtbl.mem h p in
   let dst_a = side s.in_a dst in
   let src_a = match src with Some p -> side s.in_a p | None -> false in
   let in_b p =

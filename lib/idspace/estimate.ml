@@ -3,8 +3,7 @@ let log_inverse_gap ring id =
   let succ =
     match Ring.strict_successor ring id with Some s -> s | None -> assert false
   in
-  let gap_units = Point.distance_cw id succ in
-  let gap = Int64.to_float gap_units /. Int64.to_float Point.modulus in
+  let gap = float_of_int (Point.distance_cw id succ) *. 0x1p-62 in
   (* Adjacent distinct IDs are at least one unit apart, so gap > 0. *)
   -.log gap
 

@@ -4,51 +4,20 @@ let make ~from ~until = { from; until; full = Point.equal from until }
 
 let full = { from = Point.zero; until = Point.zero; full = true }
 
-let of_length_cw p len =
-  if len <= 0L || len > Point.modulus then invalid_arg "Interval.of_length_cw";
-  if len = Point.modulus then { from = p; until = p; full = true }
-  else { from = p; until = Point.add_cw p len; full = false }
-
-let from_ t = t.from
-let until_ t = t.until
-
-let length t = if t.full then Point.modulus else Point.distance_cw t.from t.until
-
-let fraction t = Int64.to_float (length t) /. Int64.to_float Point.modulus
+let fraction t =
+  if t.full then 1. else float_of_int (Point.distance_cw t.from t.until) *. 0x1p-62
 
 let contains t p = if t.full then true else Point.in_cw_range ~from:t.from ~until:t.until p
 
 let sample rng t =
   if t.full then Point.random rng
   else begin
-    let len = length t in
-    (* Rejection-free: uniform offset in [1, len]. *)
-    let offset =
-      let bits = Int64.logand (Prng.Rng.bits64 rng) Int64.max_int in
-      Int64.add 1L (Int64.rem bits len)
-    in
-    Point.add_cw t.from offset
+    let len = Int64.of_int (Point.distance_cw t.from t.until) in
+    (* Rejection-free: uniform offset in [1, len]. The draw has 63
+       bits, one more than an [int] holds, so it stays [int64]. *)
+    let bits = Int64.logand (Prng.Rng.bits64 rng) Int64.max_int in
+    Point.add_cw t.from (1 + Int64.to_int (Int64.rem bits len))
   end
-
-let split t k =
-  if k < 1 then invalid_arg "Interval.split";
-  let len = length t in
-  let base = Int64.div len (Int64.of_int k) in
-  let extra = Int64.to_int (Int64.rem len (Int64.of_int k)) in
-  let rec pieces i start acc =
-    if i = k then List.rev acc
-    else begin
-      let piece_len = if i < extra then Int64.add base 1L else base in
-      if piece_len = 0L then
-        (* Degenerate: more pieces than units; emit empty-arc markers as
-           zero-length intervals anchored at [start]. *)
-        pieces (i + 1) start acc
-      else
-        let piece = of_length_cw start piece_len in
-        pieces (i + 1) (Point.add_cw start piece_len) (piece :: acc)
-    end
-  in
-  pieces 0 t.from []
 
 let pp fmt t =
   if t.full then Format.fprintf fmt "(full ring)"

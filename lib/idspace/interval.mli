@@ -15,28 +15,14 @@ val make : from:Point.t -> until:Point.t -> t
 val full : t
 (** The whole ring. *)
 
-val of_length_cw : Point.t -> int64 -> t
-(** [of_length_cw p len] is the arc of clockwise length [len] starting
-    just after [p]; requires [0 < len <= modulus]. *)
-
-val from_ : t -> Point.t
-val until_ : t -> Point.t
-
-val length : t -> int64
-(** Number of ID-space units in the arc ([modulus] for {!full}). *)
-
 val fraction : t -> float
-(** [length] as a fraction of the whole ring. *)
+(** The arc's length as a fraction of the whole ring ([1.] for
+    {!full}). *)
 
 val contains : t -> Point.t -> bool
 (** Membership test. *)
 
 val sample : Prng.Rng.t -> t -> Point.t
 (** A uniformly random point of the arc. *)
-
-val split : t -> int -> t list
-(** [split t k] cuts the arc into [k] consecutive pieces of
-    near-equal length (lengths differ by at most one unit);
-    requires [k >= 1]. *)
 
 val pp : Format.formatter -> t -> unit

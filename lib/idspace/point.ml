@@ -1,48 +1,38 @@
-type t = int64
+type t = int
 
-let modulus = Int64.shift_left 1L 62
-let mask = Int64.sub modulus 1L
-let zero = 0L
+let mask = (1 lsl 62) - 1
+let zero = 0
 
+(* [Int64.to_int] keeps the low 63 bits, so masking after it reduces
+   mod 2^62 exactly as masking the [int64] would. *)
 let of_u62 v =
   if v < 0L then invalid_arg "Point.of_u62: negative value";
-  Int64.logand v mask
+  Int64.to_int v land mask
 
-let to_u62 p = p
+let to_u62 = Int64.of_int
 
 let of_float x =
   if x < 0. || x >= 1. then invalid_arg "Point.of_float: out of [0,1)";
-  Int64.of_float (x *. Int64.to_float modulus)
+  int_of_float (x *. 0x1p62)
 
-let to_float p = Int64.to_float p *. 0x1p-62
+let to_float p = float_of_int p *. 0x1p-62
 
-let random rng = Int64.logand (Prng.Rng.bits64 rng) mask
+let random rng = Int64.to_int (Prng.Rng.bits64 rng) land mask
 
-let equal = Int64.equal
-let compare = Int64.compare
+let equal = Int.equal
+let compare = Int.compare
 
-(* Points are < 2^62 and native ints have 63 bits on every platform we
-   target, so the conversion is exact and allocation-free. *)
-let to_key = Int64.to_int
-let key_mask = (1 lsl 62) - 1
+let to_key p = p
 
-let distance_cw a b = Int64.logand (Int64.sub b a) mask
+let distance_cw a b = (b - a) land mask
 
-let distance a b =
-  let d = distance_cw a b in
-  let d' = Int64.sub modulus d in
-  if d <= d' then d else d'
-
-let add_cw p d = Int64.logand (Int64.add p (Int64.logand d mask)) mask
-
-let midpoint_cw a b = add_cw a (Int64.shift_right_logical (distance_cw a b) 1)
+let add_cw p d = (p + d) land mask
 
 let in_cw_range ~from ~until p =
-  if equal from until then true
-  else
-    let arc = distance_cw from until in
-    let d = distance_cw from p in
-    d > 0L && d <= arc
+  from = until
+  ||
+  let d = distance_cw from p in
+  d > 0 && d <= distance_cw from until
 
 let pp fmt p = Format.fprintf fmt "%.6f" (to_float p)
 

@@ -1,24 +1,25 @@
 (** Points of the ID space [0,1), the unit ring of the paper (§I-C).
 
-    Represented as 62-bit fixed point: a point is an [int64] in
-    [0, 2^62). 62 bits comfortably exceeds the [O(log n)] bits of
-    precision the paper requires and matches the output width of the
+    Represented as 62-bit fixed point: a point is a native [int] in
+    [0, 2^62), unboxed, since [int] has 63 bits on 64-bit platforms.
+    62 bits comfortably exceeds the [O(log n)] bits of precision the
+    paper requires and matches the output width of the
     {!Hashing.Oracle} families, so oracle outputs {e are} points.
+    [(p :> int)] exposes the integer; clockwise arithmetic is
+    {!distance_cw} and {!add_cw}.
 
     "Clockwise" means increasing values, wrapping at 1. *)
 
-type t = private int64
+type t = private int
 (** A point on the unit ring. *)
-
-val modulus : int64
-(** [2^62], the size of the discrete ID space. *)
 
 val zero : t
 (** The point 0. *)
 
 val of_u62 : int64 -> t
 (** [of_u62 v] interprets [v mod 2^62] as a point (values are reduced,
-    negative inputs raise [Invalid_argument]). *)
+    negative inputs raise [Invalid_argument]). With {!to_u62}, the
+    [int64] edge used by the oracle and the PRNG. *)
 
 val to_u62 : t -> int64
 (** The underlying integer in [0, 2^62). *)
@@ -38,31 +39,16 @@ val compare : t -> t -> int
 (** Total order by ring position (not rotation-invariant). *)
 
 val to_key : t -> int
-(** The point as a native [int] in [0, 2^62) — exact, since [int] has
-    63 bits on 64-bit platforms. The unboxed mirror of {!to_u62};
-    comparisons and modular arithmetic on keys avoid the boxed
-    [int64] operations of {!distance_cw} on hot paths. *)
+(** The identity [(p :> int)]. *)
 
-val key_mask : int
-(** [2^62 - 1] as a native [int]: [(b - a) land key_mask] is the
-    clockwise distance between the keys of [a] and [b], mirroring
-    {!distance_cw} without allocation. *)
-
-val distance_cw : t -> t -> int64
+val distance_cw : t -> t -> int
 (** [distance_cw a b] is the clockwise distance from [a] to [b]:
     the number of ID-space units traversed moving clockwise from [a]
-    until reaching [b]. [distance_cw a a = 0]. *)
+    until reaching [b], in [0, 2^62). [distance_cw a a = 0]. *)
 
-val distance : t -> t -> int64
-(** Minimum of the clockwise and counter-clockwise distances. *)
-
-val add_cw : t -> int64 -> t
-(** [add_cw p d] moves [p] clockwise by [d] units (mod 2^62);
-    [d] may exceed the modulus. *)
-
-val midpoint_cw : t -> t -> t
-(** Point halfway along the clockwise arc from the first to the
-    second argument. *)
+val add_cw : t -> int -> t
+(** [add_cw p d] moves [p] clockwise by [d] units (mod 2^62); [d] may
+    be negative (counter-clockwise) or exceed 2^62. *)
 
 val in_cw_range : from:t -> until:t -> t -> bool
 (** [in_cw_range ~from ~until p] is true when [p] lies on the

@@ -1,11 +1,10 @@
 (* Immutable snapshot of the ID population: a compact sorted base plus
    a small sorted delta of added points.
 
-   The base is two parallel arrays: the points themselves (sorted
-   ascending, so rank k is the k-th ID clockwise from 0) and their
-   native-int keys. Every query is a binary search over the unboxed
-   key array — no pointer chasing, no boxed comparisons — and on a
-   compact ring [random_member] is one array index.
+   The base is the points themselves, sorted ascending, so rank k is
+   the k-th ID clockwise from 0. Points are unboxed ints, so every
+   query is a binary search over a flat array, and on a compact ring
+   [random_member] is one array index.
 
    [add] copies only the delta: the points added since the last
    compaction, each with its rank in the merged order. Once the delta
@@ -17,60 +16,54 @@
 
 type t = {
   pts : Point.t array;  (* base, sorted ascending, distinct *)
-  keys : int array;  (* Point.to_key pts.(i), same order *)
   dpts : Point.t array;  (* delta: sorted ascending, disjoint from pts *)
-  dkeys : int array;  (* Point.to_key dpts.(j) *)
   dranks : int array;
       (* merged rank of dpts.(j): the base points below it plus j *)
 }
 
-let compact pts keys = { pts; keys; dpts = [||]; dkeys = [||]; dranks = [||] }
+let compact pts = { pts; dpts = [||]; dranks = [||] }
 
-let empty = compact [||] [||]
-
-let of_sorted_distinct pts = compact pts (Array.map Point.to_key pts)
+let empty = compact [||]
 
 let of_list ps =
   match List.sort_uniq Point.compare ps with
   | [] -> empty
-  | ps -> of_sorted_distinct (Array.of_list ps)
+  | ps -> compact (Array.of_list ps)
 
 let of_array ps = of_list (Array.to_list ps)
 
 let cardinal t = Array.length t.pts + Array.length t.dpts
 
-(* First index whose key is >= k; [Array.length keys] when none. *)
-let lower_bound keys k =
-  let lo = ref 0 and hi = ref (Array.length keys) in
+(* First index whose point is >= k; [Array.length pts] when none. *)
+let lower_bound (pts : Point.t array) k =
+  let lo = ref 0 and hi = ref (Array.length pts) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if Array.unsafe_get keys mid < k then lo := mid + 1 else hi := mid
+    if Array.unsafe_get pts mid < k then lo := mid + 1 else hi := mid
   done;
   !lo
 
-(* First index whose key is > k. *)
-let upper_bound keys k =
-  let lo = ref 0 and hi = ref (Array.length keys) in
+(* First index whose point is > k. *)
+let upper_bound (pts : Point.t array) k =
+  let lo = ref 0 and hi = ref (Array.length pts) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if Array.unsafe_get keys mid <= k then lo := mid + 1 else hi := mid
+    if Array.unsafe_get pts mid <= k then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let mem_keys keys k =
-  let i = lower_bound keys k in
-  i < Array.length keys && Array.unsafe_get keys i = k
+let mem_sorted pts p =
+  let i = lower_bound pts p in
+  i < Array.length pts && Array.unsafe_get pts i = p
 
-let mem p t =
-  let k = Point.to_key p in
-  mem_keys t.keys k || mem_keys t.dkeys k
+let mem p t = mem_sorted t.pts p || mem_sorted t.dpts p
 
 (* The point at merged position [i + j], where [i] base points and [j]
    delta points precede it (wrapping to position 0 past the end). *)
 let rec at_split t i j =
   let nb = Array.length t.pts and nd = Array.length t.dpts in
   if i = nb && j = nd then at_split t 0 0
-  else if j = nd || (i < nb && Array.unsafe_get t.keys i < Array.unsafe_get t.dkeys j)
+  else if j = nd || (i < nb && Array.unsafe_get t.pts i < Array.unsafe_get t.dpts j)
   then Array.unsafe_get t.pts i
   else Array.unsafe_get t.dpts j
 
@@ -78,7 +71,7 @@ let rec at_split t i j =
    last point before position 0). *)
 let rec before_split t i j =
   if i = 0 && j = 0 then before_split t (Array.length t.pts) (Array.length t.dpts)
-  else if j = 0 || (i > 0 && Array.unsafe_get t.keys (i - 1) > Array.unsafe_get t.dkeys (j - 1))
+  else if j = 0 || (i > 0 && Array.unsafe_get t.pts (i - 1) > Array.unsafe_get t.dpts (j - 1))
   then Array.unsafe_get t.pts (i - 1)
   else Array.unsafe_get t.dpts (j - 1)
 
@@ -86,31 +79,26 @@ let rec before_split t i j =
    every point's slot directly. *)
 let fold_delta t =
   let n = cardinal t and nd = Array.length t.dpts in
-  let pts = Array.make n Point.zero and keys = Array.make n 0 in
+  let pts = Array.make n Point.zero in
   let j = ref 0 in
   for r = 0 to n - 1 do
     if !j < nd && Array.unsafe_get t.dranks !j = r then begin
       Array.unsafe_set pts r (Array.unsafe_get t.dpts !j);
-      Array.unsafe_set keys r (Array.unsafe_get t.dkeys !j);
       incr j
     end
-    else begin
-      Array.unsafe_set pts r (Array.unsafe_get t.pts (r - !j));
-      Array.unsafe_set keys r (Array.unsafe_get t.keys (r - !j))
-    end
+    else Array.unsafe_set pts r (Array.unsafe_get t.pts (r - !j))
   done;
-  compact pts keys
+  compact pts
 
 let compacted t = if Array.length t.dpts = 0 then t else fold_delta t
 
 let add p t =
-  let k = Point.to_key p in
   let nb = Array.length t.pts and nd = Array.length t.dpts in
-  let i = lower_bound t.keys k in
-  if i < nb && Array.unsafe_get t.keys i = k then t
+  let i = lower_bound t.pts p in
+  if i < nb && Array.unsafe_get t.pts i = p then t
   else
-    let j = lower_bound t.dkeys k in
-    if j < nd && Array.unsafe_get t.dkeys j = k then t
+    let j = lower_bound t.dpts p in
+    if j < nd && Array.unsafe_get t.dpts j = p then t
     else begin
       let insert a x =
         let b = Array.make (nd + 1) x in
@@ -122,7 +110,7 @@ let add p t =
       for q = j + 1 to nd do
         Array.unsafe_set dranks q (Array.unsafe_get dranks q + 1)
       done;
-      let t = { t with dpts = insert t.dpts p; dkeys = insert t.dkeys k; dranks } in
+      let t = { t with dpts = insert t.dpts p; dranks } in
       (* Fold once the delta holds about sqrt n points. *)
       if (nd + 1) * (nd + 1) >= nb + nd + 1 then fold_delta t else t
     end
@@ -131,13 +119,10 @@ let remove p t =
   if not (mem p t) then t
   else
     let t = compacted t in
-    let i = lower_bound t.keys (Point.to_key p) in
+    let i = lower_bound t.pts p in
     let n = Array.length t.pts in
     if n = 1 then empty
-    else
-      compact
-        (Array.init (n - 1) (fun j -> t.pts.(if j < i then j else j + 1)))
-        (Array.init (n - 1) (fun j -> t.keys.(if j < i then j else j + 1)))
+    else compact (Array.init (n - 1) (fun j -> t.pts.(if j < i then j else j + 1)))
 
 let add_batch ps t =
   match List.sort_uniq Point.compare ps with
@@ -176,7 +161,7 @@ let add_batch ps t =
         push inc.(!j);
         incr j
       done;
-      if !o = n then t else of_sorted_distinct (Array.sub out 0 !o)
+      if !o = n then t else compact (Array.sub out 0 !o)
 
 let remove_batch ps t =
   match List.sort_uniq Point.compare ps with
@@ -200,19 +185,17 @@ let remove_batch ps t =
       done;
       if !o = n then t
       else if !o = 0 then empty
-      else of_sorted_distinct (Array.sub out 0 !o)
+      else compact (Array.sub out 0 !o)
 
 let successor_exn t x =
   if cardinal t = 0 then raise Not_found;
-  let k = Point.to_key x in
-  at_split t (lower_bound t.keys k) (lower_bound t.dkeys k)
+  at_split t (lower_bound t.pts x) (lower_bound t.dpts x)
 
 let successor t x = if cardinal t = 0 then None else Some (successor_exn t x)
 
 let strict_successor_exn t x =
   if cardinal t = 0 then raise Not_found;
-  let k = Point.to_key x in
-  at_split t (upper_bound t.keys k) (upper_bound t.dkeys k)
+  at_split t (upper_bound t.pts x) (upper_bound t.dpts x)
 
 let strict_successor t x = if cardinal t = 0 then None else Some (strict_successor_exn t x)
 
@@ -220,8 +203,7 @@ let predecessor t x =
   if cardinal t = 0 then None
   else
     (* Points strictly below x: [lower_bound x] of each side. *)
-    let k = Point.to_key x in
-    Some (before_split t (lower_bound t.keys k) (lower_bound t.dkeys k))
+    Some (before_split t (lower_bound t.pts x) (lower_bound t.dpts x))
 
 let responsibility t id =
   if not (mem id t) then None
@@ -234,25 +216,30 @@ let responsibility t id =
 
 let nth t i =
   if i < 0 || i >= cardinal t then invalid_arg "index out of bounds";
-  (* Delta points ranked below [i]; [i] is a delta point's rank or
-     the base point that many slots further down. *)
-  let j = lower_bound t.dranks i in
+  (* Delta points ranked below [i] (the first [j] with
+     [dranks.(j) >= i]); [i] is a delta point's rank or the base point
+     that many slots further down. *)
+  let lo = ref 0 and hi = ref (Array.length t.dranks) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get t.dranks mid < i then lo := mid + 1 else hi := mid
+  done;
+  let j = !lo in
   if j < Array.length t.dranks && Array.unsafe_get t.dranks j = i then
     Array.unsafe_get t.dpts j
   else Array.unsafe_get t.pts (i - j)
 
 let rank t p =
-  let k = Point.to_key p in
-  let i = lower_bound t.keys k and j = lower_bound t.dkeys k in
-  if i < Array.length t.keys && Array.unsafe_get t.keys i = k then i + j
-  else if j < Array.length t.dkeys && Array.unsafe_get t.dkeys j = k then
+  let i = lower_bound t.pts p and j = lower_bound t.dpts p in
+  if i < Array.length t.pts && Array.unsafe_get t.pts i = p then i + j
+  else if j < Array.length t.dpts && Array.unsafe_get t.dpts j = p then
     Array.unsafe_get t.dranks j
   else -1
 
-let successor_rank t k =
+let successor_rank t x =
   let n = cardinal t in
   if n = 0 then raise Not_found;
-  let i = lower_bound t.keys k + lower_bound t.dkeys k in
+  let i = lower_bound t.pts x + lower_bound t.dpts x in
   if i = n then 0 else i
 
 let to_sorted_array t = (fold_delta t).pts
@@ -291,13 +278,12 @@ let populate rng n =
     let filled = ref 0 in
     while !filled < n do
       let p = Point.random rng in
-      let k = Point.to_key p in
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
+      if not (Hashtbl.mem seen p) then begin
+        Hashtbl.add seen p ();
         out.(!filled) <- p;
         incr filled
       end
     done;
     Array.sort Point.compare out;
-    of_sorted_distinct out
+    compact out
   end

@@ -4,8 +4,8 @@
     primitive every construction in the paper builds on: key
     responsibility (P2), group membership draws [suc(h1(w,i))]
     (§III-A), and Chord-style finger targets. Backed by an immutable
-    sorted array with an unboxed native-int key mirror: queries are
-    cache-friendly binary searches, and churn merges batches in O(n).
+    sorted array of unboxed points: queries are cache-friendly binary
+    searches, and churn merges batches in O(n).
     {!add} keeps the points it adds in a small sorted delta beside the
     array, so a run of single adds does not copy the whole snapshot
     each time. {!random_member} and {!nth} are O(1) on a compact ring
@@ -77,10 +77,9 @@ val nth : t -> int -> Point.t
 val rank : t -> Point.t -> int
 (** Sorted position of an ID, or [-1] when absent. *)
 
-val successor_rank : t -> int -> int
-(** [successor_rank t k] is the rank of [suc(x)] for the point whose
-    native key ({!Point.to_key}) is [k] — the unboxed successor query
-    used by the group builder.
+val successor_rank : t -> Point.t -> int
+(** [successor_rank t x] is the rank of [suc(x)] — the successor query
+    the group builder and Chord's linking rule use.
     @raise Not_found when empty. *)
 
 val to_sorted_array : t -> Point.t array

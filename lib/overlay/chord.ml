@@ -16,7 +16,6 @@ open Idspace
    to points once. *)
 let neighbors_of ring w =
   let n = Ring.cardinal ring in
-  let kw = Point.to_key w in
   let buf = Array.make 63 0 and len = ref 0 in
   let push r =
     let i = ref !len in
@@ -29,11 +28,10 @@ let neighbors_of ring w =
       incr len
     end
   in
-  let key_of r = Point.to_key (Ring.nth ring r) in
   let j = ref 0 in
   while !j <= 61 do
-    let r = Ring.successor_rank ring ((kw + (1 lsl !j)) land Point.key_mask) in
-    let d = (key_of r - kw) land Point.key_mask in
+    let r = Ring.successor_rank ring (Point.add_cw w (1 lsl !j)) in
+    let d = Point.distance_cw w (Ring.nth ring r) in
     if d = 0 then j := 62
     else begin
       push r;
@@ -43,8 +41,8 @@ let neighbors_of ring w =
       done
     end
   done;
-  let p = (Ring.successor_rank ring kw + n - 1) mod n in
-  if key_of p <> kw then push p;
+  let p = (Ring.successor_rank ring w + n - 1) mod n in
+  if not (Point.equal (Ring.nth ring p) w) then push p;
   let acc = ref [] in
   for i = !len - 1 downto 0 do
     acc := Ring.nth ring (Array.unsafe_get buf i) :: !acc
@@ -53,9 +51,8 @@ let neighbors_of ring w =
 
 let rec make ring =
   if Ring.cardinal ring = 0 then invalid_arg "Chord.make: empty ring";
-  (* Neighbour memo indexed by ring rank — a flat array instead of a
-     boxed-int64 hash table. Off-ring queries (rare; e.g. a probe for
-     an ID mid-join) compute uncached. *)
+  (* Neighbour memo indexed by ring rank. Off-ring queries (rare; e.g.
+     a probe for an ID mid-join) compute uncached. *)
   let memo : Point.t list option array = Array.make (Ring.cardinal ring) None in
   let neighbors w =
     let r = Ring.rank ring w in
@@ -81,11 +78,6 @@ let rec make ring =
     let resp = Ring.successor_exn ring key in
     if Point.equal src resp then [ src ]
     else begin
-      (* Clockwise distances fit in a native int (u62), so the whole
-         greedy step runs on unboxed arithmetic: [(b - a) land
-         key_mask] is [distance_cw a b] even when the subtraction
-         wraps negative. *)
-      let kkey = Point.to_key key in
       let rec go current acc hops =
         if hops > hard_bound then failwith "Chord.route: hop bound exceeded"
         else begin
@@ -94,9 +86,8 @@ let rec make ring =
             | Some s -> s
             | None -> assert false
           in
-          let kcur = Point.to_key current in
-          let arc = (Point.to_key scur - kcur) land Point.key_mask in
-          let dkey = (kkey - kcur) land Point.key_mask in
+          let arc = Point.distance_cw current scur in
+          let dkey = Point.distance_cw current key in
           if arc = 0 || (dkey > 0 && dkey <= arc) then
             (* key lands in (current, successor]: successor is
                responsible; final hop. *)
@@ -110,7 +101,7 @@ let rec make ring =
             let best_u = ref current and best_d = ref (-1) in
             List.iter
               (fun u ->
-                let d = (Point.to_key u - kcur) land Point.key_mask in
+                let d = Point.distance_cw current u in
                 if d > 0 && d < dkey && d > !best_d then begin
                   best_u := u;
                   best_d := d

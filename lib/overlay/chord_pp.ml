@@ -11,12 +11,9 @@ let rec make ?(salt = 0) ring =
     let resp = Ring.successor_exn ring key in
     if Point.equal src resp then [ src ]
     else begin
-      (* Per-query deterministic randomness, all on native ints: the
-         coin draws run on the same unboxed fast path as the distance
-         math (chord/debruijn style) — no Int64 anywhere per hop. *)
+      (* Per-query deterministic randomness, all on native ints. *)
       let mix = Prng.Splitmix.mix_int in
-      let seed = mix (salt lxor Point.to_key src lxor mix (Point.to_key key)) in
-      let kkey = Point.to_key key in
+      let seed = mix (salt lxor (src :> int) lxor mix (key :> int)) in
       let rec go current acc hops =
         if hops > hard_bound then failwith "Chord_pp.route: hop bound exceeded"
         else begin
@@ -25,19 +22,18 @@ let rec make ?(salt = 0) ring =
             | Some s -> s
             | None -> assert false
           in
-          let kcur = Point.to_key current in
-          let arc = (Point.to_key scur - kcur) land Point.key_mask in
-          let dist_key = (kkey - kcur) land Point.key_mask in
+          let arc = Point.distance_cw current scur in
+          let dist_key = Point.distance_cw current key in
           if arc = 0 || (dist_key > 0 && dist_key <= arc) then
             List.rev (scur :: acc)
           else begin
             (* Candidate fingers that land strictly before the key,
-               with their unboxed clockwise progress ([0 < d <
-               dist_key] subsumes the seed's range checks). *)
+               with their clockwise progress ([0 < d < dist_key]
+               subsumes the seed's range checks). *)
             let candidates =
               List.filter_map
                 (fun u ->
-                  let d = (Point.to_key u - kcur) land Point.key_mask in
+                  let d = Point.distance_cw current u in
                   if d > 0 && d < dist_key then Some (u, d) else None)
                 (neighbors current)
             in

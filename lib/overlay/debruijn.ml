@@ -3,10 +3,8 @@ open Idspace
 (* Image of a point under the halving maps: l (bit = 0) prepends a 0
    bit, r (bit = 1) prepends a 1 bit to the binary expansion. *)
 let half_point ~bit p =
-  let v = Point.to_u62 p in
-  let shifted = Int64.shift_right_logical v 1 in
-  let top = if bit then Int64.shift_left 1L 61 else 0L in
-  Point.of_u62 (Int64.logor shifted top)
+  let top = if bit then 1 lsl 61 else 0 in
+  Point.add_cw Point.zero (((p : Point.t :> int) lsr 1) lor top)
 
 (* All ring members whose responsibility arc intersects the clockwise
    arc (from, until]: the members inside the arc plus suc(until). *)
@@ -26,10 +24,10 @@ let nodes_covering ring ~from ~until =
 (* Images of an arc under one halving map. A wrapping arc is split at
    the top of the ring so each piece maps monotonically. *)
 let arc_images ~bit ~from ~until =
-  let top = Point.of_u62 (Int64.sub Point.modulus 1L) in
+  let top = Point.add_cw Point.zero (-1) in
   let image (a, b) = (half_point ~bit a, half_point ~bit b) in
   if Point.compare from until < 0 || Point.equal from until then [ image (from, until) ]
-  else [ image (from, top); image (Point.of_u62 0L, until) ]
+  else [ image (from, top); image (Point.zero, until) ]
 
 let halving_steps n =
   let lg = int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.)) in
@@ -77,14 +75,13 @@ let rec make ring =
          forwards into the responsible ID, never past it), most
          significant bit applied last. The continuous walk point and
          the ID responsible for it are tracked together. *)
-      let slack = Int64.shift_left 1L (62 - steps) in
-      let target = Point.add_cw key (Int64.sub Point.modulus (Int64.mul 2L slack)) in
-      let key_bits = Point.to_u62 target in
+      let slack = 1 lsl (62 - steps) in
+      let key_bits = (Point.add_cw key (-2 * slack) :> int) in
       let continuous = ref src in
       let path = ref [ src ] in
       let current = ref src in
       for i = steps downto 1 do
-        let bit = Int64.logand (Int64.shift_right_logical key_bits (62 - i)) 1L = 1L in
+        let bit = (key_bits lsr (62 - i)) land 1 = 1 in
         continuous := half_point ~bit !continuous;
         let node = Ring.successor_exn ring !continuous in
         if not (Point.equal node !current) then begin

@@ -15,6 +15,11 @@ open Idspace
 val make : Ring.t -> Overlay_intf.t
 (** Build the distance-halving view of a non-empty ring. *)
 
+val half_point : bit:bool -> Point.t -> Point.t
+(** The halving maps: [half_point ~bit:false x = x/2] ([l]) and
+    [half_point ~bit:true x = (1+x)/2] ([r]), each prepending [bit] to
+    the binary expansion of [x]; exposed for tests. *)
+
 val halving_steps : int -> int
 (** Number of halving steps used for a ring of [n] IDs; exposed for
     tests. *)

@@ -4,7 +4,7 @@ type t = {
   rng : Prng.Rng.t;
   latency : Sim.Latency.t;
   engine : Sim.Engine.t;
-  handlers : (int64, t -> now:int -> Message.t -> unit) Hashtbl.t;
+  handlers : (Point.t, t -> now:int -> Message.t -> unit) Hashtbl.t;
   injector : Faults.Injector.t;
   tracker : Reliability.Tracker.t;
   mutable sent : int;
@@ -35,11 +35,11 @@ let create ?(conditions = Sim.Conditions.none) ?metrics ?(size = 1024) rng ~late
     delivered = 0;
   }
 
-let register t id handler = Hashtbl.replace t.handlers (Point.to_u62 id) handler
+let register t id handler = Hashtbl.replace t.handlers id handler
 
 let deliver_after t ~delay ~to_ message =
   Sim.Engine.schedule_after t.engine ~delay (fun () ->
-      match Hashtbl.find_opt t.handlers (Point.to_u62 to_) with
+      match Hashtbl.find_opt t.handlers to_ with
       | Some handler ->
           t.delivered <- t.delivered + 1;
           handler t ~now:(Sim.Engine.now t.engine) message

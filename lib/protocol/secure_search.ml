@@ -12,12 +12,9 @@ type outcome = {
 (* Per-member quorum bookkeeping for one query: distinct senders of
    identical (stage, key) copies, and whether we already acted. *)
 type quorum = {
-  mutable senders : int64 list;
+  mutable senders : Point.t list;
   mutable acted : bool;
 }
-
-let quorum_key (r : Message.search_request) =
-  (Point.to_u62 r.Message.stage, Point.to_u62 r.Message.key)
 
 (* Reply bookkeeping at the client: per claimed responsible ID, the
    distinct responders and arrival times. *)
@@ -45,12 +42,12 @@ let run_search rng g ~latency ~behaviour ~src ~key ?(deadline = 60_000)
   in
   let qid = 1 in
   (* The client is a synthetic address off the ring. *)
-  let client = Point.of_u62 0L in
-  let buckets : (int64, bucket) Hashtbl.t = Hashtbl.create 8 in
+  let client = Point.zero in
+  let buckets : (Point.t, bucket) Hashtbl.t = Hashtbl.create 8 in
   let reply_handler _net ~now msg =
     match msg with
     | Message.Search_reply r when r.Message.qid = qid ->
-        let k = Point.to_u62 r.Message.responsible in
+        let k = r.Message.responsible in
         let b =
           match Hashtbl.find_opt buckets k with
           | Some b -> b
@@ -106,7 +103,7 @@ let run_search rng g ~latency ~behaviour ~src ~key ?(deadline = 60_000)
      before acting; a colluding bad member acts immediately and
      dishonestly. *)
   let register_member member =
-    let quorums : (int64 * int64, quorum) Hashtbl.t = Hashtbl.create 8 in
+    let quorums : (Point.t * Point.t, quorum) Hashtbl.t = Hashtbl.create 8 in
     let bad = Population.is_bad pop member in
     let handler net ~now:_ msg =
       match msg with
@@ -119,14 +116,14 @@ let run_search rng g ~latency ~behaviour ~src ~key ?(deadline = 60_000)
             match behaviour with
             | Silent -> ()
             | Colluding -> (
-                let k = quorum_key r in
+                let k = (r.Message.stage, r.Message.key) in
                 match Hashtbl.find_opt quorums k with
                 | Some _ -> ()
                 | None ->
                     Hashtbl.add quorums k { senders = []; acted = true };
                     (* Corrupt the key mid-route and flood the client
                        with the collusion target. *)
-                    let forged = Point.add_cw r.Message.key (Int64.shift_left 1L 40) in
+                    let forged = Point.add_cw r.Message.key (1 lsl 40) in
                     let path =
                       overlay.Overlay.Overlay_intf.route ~src:r.Message.stage
                         ~key:forged
@@ -148,7 +145,7 @@ let run_search rng g ~latency ~behaviour ~src ~key ?(deadline = 60_000)
                     | None -> ())
           end
           else begin
-            let k = quorum_key r in
+            let k = (r.Message.stage, r.Message.key) in
             let q =
               match Hashtbl.find_opt quorums k with
               | Some q -> q
@@ -157,11 +154,7 @@ let run_search rng g ~latency ~behaviour ~src ~key ?(deadline = 60_000)
                   Hashtbl.add quorums k q;
                   q
             in
-            let sender =
-              match r.Message.sender_member with
-              | Some s -> Point.to_u62 s
-              | None -> Point.to_u62 client
-            in
+            let sender = Option.value r.Message.sender_member ~default:client in
             if not (List.mem sender q.senders) then q.senders <- sender :: q.senders;
             let quorum_needed = (r.Message.sender_count / 2) + 1 in
             if (not q.acted) && List.length q.senders >= quorum_needed then begin
@@ -181,9 +174,8 @@ let run_search rng g ~latency ~behaviour ~src ~key ?(deadline = 60_000)
     (fun _ (grp : Tinygroups.Group.t) ->
       Array.iter
         (fun m ->
-          let k = Point.to_key m in
-          if not (Hashtbl.mem registered k) then begin
-            Hashtbl.add registered k ();
+          if not (Hashtbl.mem registered m) then begin
+            Hashtbl.add registered m ();
             register_member m
           end)
         grp.Tinygroups.Group.members)
@@ -211,27 +203,25 @@ let run_search rng g ~latency ~behaviour ~src ~key ?(deadline = 60_000)
      the key wins. *)
   let winner =
     Hashtbl.fold
-      (fun k b best ->
-        let candidate = Point.of_u62 k in
+      (fun candidate b best ->
         if b.count < 2 || not (Ring.mem candidate (Population.ring pop)) then best
         else begin
           let d = Point.distance_cw key candidate in
           match best with
           | Some (_, _, _, bd) when bd <= d -> best
-          | _ -> Some (k, b.count, b, d)
+          | _ -> Some (candidate, b.count, b, d)
         end)
       buckets None
   in
   let truth = Ring.successor_exn (Population.ring pop) key in
   match winner with
-  | Some (k, count, b, _) ->
+  | Some (value, count, b, _) ->
       let arrivals = List.sort compare b.arrivals in
       let latency_ms =
         match List.nth_opt arrivals (((count + 1) / 2) - 1) with
         | Some t -> t
         | None -> Network.now net
       in
-      let value = Point.of_u62 k in
       {
         result =
           (if Point.equal value truth then `Resolved value else `Hijacked value);

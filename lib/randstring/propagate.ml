@@ -37,8 +37,8 @@ let component graph =
   let open Tinygroups in
   let leaders = Group_graph.leaders graph in
   let n = Array.length leaders in
-  let index : (int64, int) Hashtbl.t = Hashtbl.create (2 * n) in
-  Array.iteri (fun i w -> Hashtbl.replace index (Point.to_u62 w) i) leaders;
+  let index : (Point.t, int) Hashtbl.t = Hashtbl.create (2 * n) in
+  Array.iteri (fun i w -> Hashtbl.replace index w i) leaders;
   let alive = Array.map (fun w -> not (Group_graph.hijacked graph w)) leaders in
   let adj = Array.make n [] in
   let overlay = Group_graph.overlay graph in
@@ -47,7 +47,7 @@ let component graph =
       if alive.(i) then
         List.iter
           (fun u ->
-            match Hashtbl.find_opt index (Point.to_u62 u) with
+            match Hashtbl.find_opt index u with
             | Some j when alive.(j) ->
                 adj.(i) <- j :: adj.(i);
                 adj.(j) <- i :: adj.(j)

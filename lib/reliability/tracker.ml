@@ -24,23 +24,23 @@ type t = {
   mutable rng : Prng.Rng.t;
       (* Mutable so forks can be re-keyed per logical actor. *)
   metrics_ : Metrics_core.t;
-  (* Consecutive budget exhaustions per destination (62-bit key);
+  (* Consecutive budget exhaustions per destination;
      reset by any acked delivery to that destination. *)
-  failures : (int64, int) Hashtbl.t;
-  broken : (int64, unit) Hashtbl.t;
+  failures : (Point.t, int) Hashtbl.t;
+  broken : (Point.t, unit) Hashtbl.t;
   frozen : t option;
       (* [Some parent] marks a fork: reads consult the parent's
          tables (frozen for the fork's lifetime), writes accumulate
          in [slice]. *)
-  slice : (int64, summary) Hashtbl.t;
+  slice : (Point.t, summary) Hashtbl.t;
 }
 
 (* Disabled trackers never write either table (every mutation guards
    on [active_]), so they can all share the same empty ones rather
    than allocating degenerate single-bucket tables per call. *)
-let no_failures : (int64, int) Hashtbl.t = Hashtbl.create 1
-let no_broken : (int64, unit) Hashtbl.t = Hashtbl.create 1
-let no_slice : (int64, summary) Hashtbl.t = Hashtbl.create 1
+let no_failures : (Point.t, int) Hashtbl.t = Hashtbl.create 1
+let no_broken : (Point.t, unit) Hashtbl.t = Hashtbl.create 1
+let no_slice : (Point.t, summary) Hashtbl.t = Hashtbl.create 1
 
 let disabled () =
   {
@@ -79,17 +79,15 @@ let budget t = if t.active_ then t.policy_.Policy.max_retries else 0
 let circuit_open t dst =
   t.active_
   &&
-  let k = Point.to_u62 dst in
   match t.frozen with
-  | None -> Hashtbl.mem t.broken k
-  | Some parent -> Hashtbl.mem parent.broken k
+  | None -> Hashtbl.mem t.broken dst
+  | Some parent -> Hashtbl.mem parent.broken dst
 
 let consecutive_failures t dst =
   if not t.active_ then 0
   else
-    let k = Point.to_u62 dst in
     let base = match t.frozen with None -> t | Some parent -> parent in
-    Option.value ~default:0 (Hashtbl.find_opt base.failures k)
+    Option.value ~default:0 (Hashtbl.find_opt base.failures dst)
 
 let summary_cell t k =
   match Hashtbl.find_opt t.slice k with
@@ -102,11 +100,10 @@ let summary_cell t k =
 let record_success t dst =
   if t.active_ then begin
     Metrics_core.incr t.metrics_ Metrics_core.retry_acked;
-    let k = Point.to_u62 dst in
     match t.frozen with
-    | None -> Hashtbl.remove t.failures k
+    | None -> Hashtbl.remove t.failures dst
     | Some _ ->
-        let s = summary_cell t k in
+        let s = summary_cell t dst in
         s.had_s <- true;
         s.post <- 0
   end
@@ -129,11 +126,10 @@ let apply_exhaustions t k count =
 let record_exhausted t dst =
   if t.active_ then begin
     Metrics_core.incr t.metrics_ Metrics_core.retry_exhausted;
-    let k = Point.to_u62 dst in
     match t.frozen with
-    | None -> apply_exhaustions t k 1
+    | None -> apply_exhaustions t dst 1
     | Some _ ->
-        let s = summary_cell t k in
+        let s = summary_cell t dst in
         if not s.had_s then s.pre <- s.pre + 1
         else begin
           s.post <- s.post + 1;

@@ -75,3 +75,14 @@ let to_string v =
   Buffer.contents b
 
 let write path v = Out_channel.with_open_text path (fun oc -> output_string oc (to_string v))
+
+let check_writable path =
+  (* Appending to an existing file changes nothing; a file created
+     only to probe is removed again. *)
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path with
+  | oc ->
+      close_out oc;
+      if not existed then Sys.remove path;
+      Ok ()
+  | exception Sys_error msg -> Error msg

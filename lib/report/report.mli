@@ -29,3 +29,10 @@ val to_string : t -> string
 
 val write : string -> t -> unit
 (** [write path v] replaces the file at [path] with [to_string v]. *)
+
+val check_writable : string -> (unit, string) result
+(** [check_writable path] is [Ok ()] when {!write} can create or
+    replace the file at [path] (its directory exists and accepts the
+    file), and [Error msg] otherwise. Command lines call it while
+    parsing, so a bad [--out] fails before the run. Leaves the file
+    system as it found it. *)

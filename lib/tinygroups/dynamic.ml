@@ -26,10 +26,10 @@ let capture_candidates ring ~id =
   add pred;
   (match Ring.strict_successor ring id with Some s -> add s | None -> ());
   for j = 0 to 61 do
-    let stride = Int64.shift_left 1L j in
+    let stride = 1 lsl j in
     (* v in (pred - 2^j, id - 2^j]: walk the arc. *)
-    let from = Point.add_cw pred (Int64.sub Point.modulus stride) in
-    let until = Point.add_cw id (Int64.sub Point.modulus stride) in
+    let from = Point.add_cw pred (-stride) in
+    let until = Point.add_cw id (-stride) in
     let rec walk v steps =
       if steps > 8 then () (* arcs hold O(1) IDs in expectation; cap the scan *)
       else if Point.in_cw_range ~from ~until v then begin
@@ -68,9 +68,9 @@ let join_many rng metrics g ~old_pair ~member_oracle ~ids =
   let seen = Hashtbl.create (max 16 (List.length ids)) in
   List.iter
     (fun (id, _) ->
-      if Ring.mem id ring0 || Hashtbl.mem seen (Point.to_key id) then
+      if Ring.mem id ring0 || Hashtbl.mem seen id then
         invalid_arg "Dynamic.join_many: ID already present";
-      Hashtbl.add seen (Point.to_key id) ())
+      Hashtbl.add seen id ())
     ids;
   if ids = [] then (g, no_cost)
   else begin
@@ -166,9 +166,9 @@ let depart_many g ~ids =
   let seen = Hashtbl.create (max 16 (List.length ids)) in
   List.iteri
     (fun j id ->
-      if (not (Ring.mem id ring0)) || Hashtbl.mem seen (Point.to_key id) then
+      if (not (Ring.mem id ring0)) || Hashtbl.mem seen id then
         invalid_arg "Dynamic.depart_many: unknown ID";
-      Hashtbl.add seen (Point.to_key id) j)
+      Hashtbl.add seen id j)
     ids;
   if ids = [] then (g, no_cost)
   else begin
@@ -210,12 +210,12 @@ let depart_many g ~ids =
     let groups =
       List.filter_map
         (fun (w, grp) ->
-          if Hashtbl.mem seen (Point.to_key w) then None
+          if Hashtbl.mem seen w then None
           else begin
             let hits = ref [] in
             Array.iter
               (fun m ->
-                match Hashtbl.find_opt seen (Point.to_key m) with
+                match Hashtbl.find_opt seen m with
                 | Some j -> hits := (j, m) :: !hits
                 | None -> ())
               grp.Group.members;
@@ -240,7 +240,7 @@ let depart_many g ~ids =
     in
     let confused =
       List.filter
-        (fun w -> not (Hashtbl.mem seen (Point.to_key w)))
+        (fun w -> not (Hashtbl.mem seen w))
         (Group_graph.confused_leaders g)
     in
     let g' =

@@ -6,9 +6,9 @@ type color = Blue | Red
 (* Flat representation, aligned to the population's sorted ring: the
    group led by the ID of rank [r] lives at [group_by_rank.(r)], and
    confused/suspect are rank-indexed bitmaps. Leader lookup goes
-   through a linear-probing open-addressing table over unboxed u62
-   keys (load factor <= 1/2), so [group_of] is a couple of int-array
-   probes instead of a boxed-int64 hash + bucket chase. *)
+   through a linear-probing open-addressing table over the leaders'
+   int values (load factor <= 1/2), so [group_of] is a couple of
+   int-array probes. *)
 type t = {
   params : Params.t;
   population : Population.t;
@@ -53,7 +53,7 @@ let make_slots ring =
   let slot_key = Array.make cap (-1) in
   let slot_rank = Array.make cap 0 in
   for r = 0 to n - 1 do
-    let k = Point.to_key (Ring.nth ring r) in
+    let k = (Ring.nth ring r :> int) in
     let i = ref (k land mask) in
     while slot_key.(!i) >= 0 do
       i := (!i + 1) land mask
@@ -65,7 +65,7 @@ let make_slots ring =
 
 (* Rank of a leader, or -1 when the point leads no group. *)
 let rank_of t p =
-  let k = Point.to_key p in
+  let k = (p : Point.t :> int) in
   let mask = t.slot_mask in
   let i = ref (k land mask) in
   let rank = ref (-2) in
@@ -127,8 +127,8 @@ module Builder = struct
     if Array.length b.scratch < draws then b.scratch <- Array.make (2 * draws) 0;
     let wk = Point.to_u62 w in
     for i = 1 to draws do
-      let u = Hashing.Oracle.query_indexed b.member_oracle wk i in
-      b.scratch.(i - 1) <- Ring.successor_rank b.ring (Int64.to_int u)
+      let u = Point.of_u62 (Hashing.Oracle.query_indexed b.member_oracle wk i) in
+      b.scratch.(i - 1) <- Ring.successor_rank b.ring u
     done;
     draws
 

@@ -10,8 +10,7 @@
     Representation: the graph is flat and aligned to the population's
     sorted ring — a [Group.t array] indexed by ring rank, rank-indexed
     confused/suspect bitmaps, and a linear-probing open-addressing
-    table over unboxed u62 keys for leader lookup. No boxed [int64]
-    keys anywhere on the hot path.
+    table over the leaders' int values for leader lookup.
 
     Two constructors exist:
     - {!build_direct} wires members straight from the hash oracle and

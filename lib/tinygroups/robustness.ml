@@ -117,7 +117,7 @@ let state_costs g =
   let overlay = Group_graph.overlay g in
   (* Per-group cost borne by each of its members: intra-group links
      plus all-to-all links toward every neighbouring group. *)
-  let group_cost : (int, int) Hashtbl.t = Hashtbl.create (2 * Group_graph.n_groups g) in
+  let group_cost : (Point.t, int) Hashtbl.t = Hashtbl.create (2 * Group_graph.n_groups g) in
   Group_graph.iter_groups
     (fun w (grp : Group.t) ->
       let intra = Group.size grp - 1 in
@@ -130,7 +130,7 @@ let state_costs g =
           0
           (overlay.Overlay.Overlay_intf.neighbors grp.Group.leader)
       in
-      Hashtbl.replace group_cost (Point.to_key w) (intra + neighbor_links))
+      Hashtbl.replace group_cost w (intra + neighbor_links))
     g;
   let links : (Point.t, int) Hashtbl.t = Hashtbl.create 4096 in
   let memberships : (Point.t, int) Hashtbl.t = Hashtbl.create 4096 in
@@ -138,7 +138,7 @@ let state_costs g =
      of [links]/[memberships] below, which feeds the summaries. *)
   Group_graph.iter_groups
     (fun w (grp : Group.t) ->
-      let cost = Hashtbl.find group_cost (Point.to_key w) in
+      let cost = Hashtbl.find group_cost w in
       Array.iteri
         (fun i m ->
           if not (Group.member_is_bad grp i) then begin

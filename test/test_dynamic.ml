@@ -258,7 +258,7 @@ let test_join_then_search_works () =
   let other = (Tinygroups.Group_graph.leaders g').(3) in
   let towards =
     Tinygroups.Secure_route.search g' ~failure:`Majority ~src:other
-      ~key:(Point.add_cw id (Int64.neg 1L))
+      ~key:(Point.add_cw id (-1))
   in
   Alcotest.(check bool) "newcomer reachable" true (Tinygroups.Secure_route.succeeded towards)
 

@@ -22,33 +22,14 @@ let test_point_of_float_rejects () =
 
 let test_distance_cw () =
   let a = pt 0.25 and b = pt 0.75 in
-  Alcotest.(check int64) "quarter to three-quarter"
-    (Int64.div Point.modulus 2L)
-    (Point.distance_cw a b);
-  Alcotest.(check int64) "wrap around"
-    (Int64.div Point.modulus 2L)
-    (Point.distance_cw b a);
-  Alcotest.(check int64) "self distance" 0L (Point.distance_cw a a)
-
-let test_distance_symmetric_min () =
-  let a = pt 0.1 and b = pt 0.9 in
-  (* Short way round is 0.2 of the ring. *)
-  let d = Point.distance a b in
-  Alcotest.(check bool) "short arc" true
-    (Int64.to_float d /. Int64.to_float Point.modulus < 0.2001);
-  Alcotest.(check int64) "symmetric" d (Point.distance b a)
+  Alcotest.(check int) "quarter to three-quarter" (1 lsl 61) (Point.distance_cw a b);
+  Alcotest.(check int) "wrap around" (1 lsl 61) (Point.distance_cw b a);
+  Alcotest.(check int) "self distance" 0 (Point.distance_cw a a)
 
 let test_add_cw_wraps () =
   let p = pt 0.9 in
-  let q = Point.add_cw p (Int64.of_float (0.2 *. Int64.to_float Point.modulus)) in
+  let q = Point.add_cw p (int_of_float (0.2 *. 0x1p62)) in
   Alcotest.(check bool) "wrapped past zero" true (Point.to_float q < 0.11)
-
-let test_midpoint () =
-  let a = pt 0.2 and b = pt 0.4 in
-  Alcotest.(check (float 1e-9)) "midpoint" 0.3 (Point.to_float (Point.midpoint_cw a b));
-  (* Midpoint of a wrapping arc. *)
-  let m = Point.midpoint_cw (pt 0.9) (pt 0.1) in
-  Alcotest.(check (float 1e-9)) "wrapping midpoint" 0.0 (Point.to_float m)
 
 let test_in_cw_range () =
   let from = pt 0.2 and until = pt 0.6 in
@@ -83,13 +64,6 @@ let test_interval_sample_inside () =
     let p = Interval.sample rng arc in
     Alcotest.(check bool) "sample inside wrap arc" true (Interval.contains arc p)
   done
-
-let test_interval_split () =
-  let arc = Interval.make ~from:(pt 0.0) ~until:(pt 0.5) in
-  let pieces = Interval.split arc 5 in
-  Alcotest.(check int) "5 pieces" 5 (List.length pieces);
-  let total = List.fold_left (fun acc a -> acc +. Interval.fraction a) 0. pieces in
-  Alcotest.(check (float 1e-9)) "pieces cover" 0.5 total
 
 let test_ring_successor () =
   let ring = Ring.of_list [ pt 0.1; pt 0.5; pt 0.9 ] in
@@ -214,7 +188,7 @@ let prop_distance_triangle_cw =
       let a = pt a and b = pt b and c = pt c in
       (* If b lies on the cw arc from a to c, distances add exactly. *)
       if Point.in_cw_range ~from:a ~until:c b then
-        Int64.add (Point.distance_cw a b) (Point.distance_cw b c) = Point.distance_cw a c
+        Point.distance_cw a b + Point.distance_cw b c = Point.distance_cw a c
       else true)
 
 let prop_successor_is_responsible =
@@ -234,11 +208,86 @@ let prop_interval_sample_contained =
     QCheck.(triple small_int (float_range 0. 0.999) (float_range 0.0001 0.9))
     (fun (seed, start, len) ->
       let r = Prng.Rng.create seed in
-      let arc =
-        Interval.of_length_cw (pt start)
-          (Int64.of_float (len *. Int64.to_float Point.modulus))
-      in
+      let from = pt start in
+      let arc = Interval.make ~from ~until:(Point.add_cw from (int_of_float (len *. 0x1p62))) in
       Interval.contains arc (Interval.sample r arc))
+
+(* The [Int64] formulas of [Point] and [Debruijn.half_point] from when
+   a point was a boxed [int64], kept as the reference the native-int
+   arithmetic must reproduce bit for bit. *)
+module Ref64 = struct
+  let modulus = Int64.shift_left 1L 62
+  let mask = Int64.sub modulus 1L
+
+  let of_u62 v =
+    if v < 0L then invalid_arg "Point.of_u62: negative value";
+    Int64.logand v mask
+
+  let distance_cw a b = Int64.logand (Int64.sub b a) mask
+  let add_cw p d = Int64.logand (Int64.add p (Int64.logand d mask)) mask
+
+  let in_cw_range ~from ~until p =
+    if Int64.equal from until then true
+    else
+      let arc = distance_cw from until in
+      let d = distance_cw from p in
+      d > 0L && d <= arc
+
+  let half_point ~bit v =
+    let shifted = Int64.shift_right_logical v 1 in
+    let top = if bit then Int64.shift_left 1L 61 else 0L in
+    of_u62 (Int64.logor shifted top)
+end
+
+(* Values near 0, near 2^62 - 1 and uniform in [0, 2^62). *)
+let gen_u62 =
+  let open QCheck.Gen in
+  let near_top k = Int64.sub Ref64.mask (Int64.of_int k) in
+  oneof
+    [
+      map Int64.of_int (int_range 0 1000);
+      map near_top (int_range 0 1000);
+      map (Int64.logand Ref64.mask) ui64;
+    ]
+
+(* Offsets of every sign and size: small, negative, near 2^62, and
+   up to the ends of the [int64] range. *)
+let gen_offset =
+  let open QCheck.Gen in
+  oneof
+    [
+      map Int64.of_int (int_range (-1000) 1000);
+      map (fun k -> Int64.add Ref64.modulus (Int64.of_int k)) (int_range (-1000) 1000);
+      map (fun k -> Int64.sub Int64.max_int (Int64.of_int k)) (int_range 0 1000);
+      map (fun k -> Int64.add Int64.min_int (Int64.of_int k)) (int_range 0 1000);
+      ui64;
+    ]
+
+let prop_matches_int64_reference =
+  QCheck.Test.make ~name:"native-int point arithmetic equals the Int64 reference" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b, c, d) -> Printf.sprintf "%Ld %Ld %Ld %Ld" a b c d)
+       QCheck.Gen.(quad gen_u62 gen_u62 gen_u62 gen_offset))
+    (fun (a, b, c, d) ->
+      let p = Point.of_u62 in
+      let u = Point.to_u62 in
+      (* [d] covers negative inputs (both raise) and ones >= 2^62
+         (both reduce). *)
+      let of_u62_agrees =
+        match Ref64.of_u62 d with
+        | r -> u (p d) = r
+        | exception Invalid_argument m -> (
+            match p d with _ -> false | exception Invalid_argument m' -> m = m')
+      in
+      u (p a) = a && of_u62_agrees
+      && Int64.of_int (Point.distance_cw (p a) (p b)) = Ref64.distance_cw a b
+      && u (Point.add_cw (p a) (Int64.to_int d)) = Ref64.add_cw a d
+      && Point.in_cw_range ~from:(p a) ~until:(p b) (p c) = Ref64.in_cw_range ~from:a ~until:b c
+      && Point.in_cw_range ~from:(p a) ~until:(p a) (p c) = Ref64.in_cw_range ~from:a ~until:a c
+      && Point.in_cw_range ~from:(p a) ~until:(p b) (p b) = Ref64.in_cw_range ~from:a ~until:b b
+      && List.for_all
+           (fun bit -> u (Overlay.Debruijn.half_point ~bit (p a)) = Ref64.half_point ~bit a)
+           [ false; true ])
 
 let () =
   Alcotest.run "idspace"
@@ -248,9 +297,7 @@ let () =
           Alcotest.test_case "float roundtrip" `Quick test_point_roundtrip;
           Alcotest.test_case "of_float domain" `Quick test_point_of_float_rejects;
           Alcotest.test_case "clockwise distance" `Quick test_distance_cw;
-          Alcotest.test_case "symmetric distance" `Quick test_distance_symmetric_min;
           Alcotest.test_case "add wraps" `Quick test_add_cw_wraps;
-          Alcotest.test_case "midpoint" `Quick test_midpoint;
           Alcotest.test_case "in_cw_range" `Quick test_in_cw_range;
         ] );
       ( "interval",
@@ -258,7 +305,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_interval_basic;
           Alcotest.test_case "full ring" `Quick test_interval_full;
           Alcotest.test_case "sampling stays inside" `Quick test_interval_sample_inside;
-          Alcotest.test_case "split covers" `Quick test_interval_split;
         ] );
       ( "ring",
         [
@@ -281,5 +327,6 @@ let () =
             prop_distance_triangle_cw;
             prop_successor_is_responsible;
             prop_interval_sample_contained;
+            prop_matches_int64_reference;
           ] );
     ]

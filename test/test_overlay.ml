@@ -49,7 +49,7 @@ let test_self_route () =
   let members = Ring.to_sorted_array ring in
   let src = members.(0) in
   (* A key owned by src routes in zero hops. *)
-  let path = ov.Overlay.Overlay_intf.route ~src ~key:(Point.to_u62 src |> Point.of_u62) in
+  let path = ov.Overlay.Overlay_intf.route ~src ~key:src in
   Alcotest.(check int) "single-node path" 1 (List.length path)
 
 let test_chord_log_hops () =
@@ -77,7 +77,7 @@ let test_debruijn_hop_bound () =
 let ref_chord_neighbors ring w =
   let acc = ref [] in
   for j = 61 downto 0 do
-    let target = Point.add_cw w (Int64.shift_left 1L j) in
+    let target = Point.add_cw w (1 lsl j) in
     let f = Ring.successor_exn ring target in
     if not (Point.equal f w) then
       match !acc with
@@ -101,7 +101,7 @@ let test_chord_fingers_are_successors () =
   let w = members.(13) in
   let ns = ov.Overlay.Overlay_intf.neighbors w in
   let fingers =
-    List.init 62 (fun j -> Ring.successor_exn ring (Point.add_cw w (Int64.shift_left 1L j)))
+    List.init 62 (fun j -> Ring.successor_exn ring (Point.add_cw w (1 lsl j)))
   in
   Alcotest.(check bool) "has fingers" true (List.length ns > 1);
   List.iter
@@ -119,9 +119,9 @@ let test_chord_fingers_are_successors () =
 (* Every member plus off-ring points: the members' key-space
    neighbours, ring-wrap points and a few uniform draws. *)
 let chord_probes r ring =
-  let top = Point.of_u62 (Int64.pred Point.modulus) in
+  let top = Point.add_cw Point.zero (-1) in
   Ring.fold
-    (fun p acc -> p :: Point.add_cw p 1L :: Point.add_cw p (Int64.pred Point.modulus) :: acc)
+    (fun p acc -> p :: Point.add_cw p 1 :: Point.add_cw p (-1) :: acc)
     ring
     (Point.zero :: top :: List.init 16 (fun _ -> Point.random r))
 
@@ -151,9 +151,10 @@ let prop_chord_rule_wrap =
       let near = Int64.shift_left 1L 20 in
       let clustered =
         List.init n (fun i ->
-            let off = Int64.rem (Int64.logand (Prng.Rng.bits64 r) Int64.max_int) near in
-            if i mod 2 = 0 then Point.of_u62 off
-            else Point.of_u62 (Int64.sub (Int64.pred Point.modulus) off))
+            let off =
+              Int64.to_int (Int64.rem (Int64.logand (Prng.Rng.bits64 r) Int64.max_int) near)
+            in
+            Point.add_cw Point.zero (if i mod 2 = 0 then off else -1 - off))
       in
       let ring = Ring.of_list (clustered @ List.init spread (fun _ -> Point.random r)) in
       chord_rule_agrees ring (chord_probes r ring))
@@ -163,27 +164,27 @@ let prop_chord_rule_wrap =
    clusters that leave most of the ring empty. *)
 let test_chord_rule_small_rings () =
   let r = Prng.Rng.create 41 in
-  let pt = Point.of_u62 in
-  let top = Int64.pred Point.modulus and half = Int64.shift_left 1L 61 in
+  let pt = Point.add_cw Point.zero in
+  let top = -1 and half = 1 lsl 61 in
   let x = Point.random r in
-  let cluster c = List.init 30 (fun i -> Point.add_cw c (Int64.shift_left (Int64.of_int i) 25)) in
+  let cluster c = List.init 30 (fun i -> Point.add_cw c (i lsl 25)) in
   List.iteri
     (fun i ps ->
       let ring = Ring.of_list ps in
       Alcotest.(check bool) (Printf.sprintf "ring %d" i) true
         (chord_rule_agrees ring (chord_probes r ring)))
     [
-      [ pt 0L ];
+      [ pt 0 ];
       [ pt top ];
       [ x ];
-      [ pt 0L; pt 1L ];
-      [ pt 0L; pt (Int64.shift_left 1L 60) ];
-      [ pt top; pt 0L ];
+      [ pt 0; pt 1 ];
+      [ pt 0; pt (1 lsl 60) ];
+      [ pt top; pt 0 ];
       [ x; Point.add_cw x half ];
-      [ x; Point.add_cw x (Int64.succ half) ];
-      [ x; Point.add_cw x (Int64.pred half) ];
+      [ x; Point.add_cw x (half + 1) ];
+      [ x; Point.add_cw x (half - 1) ];
       cluster x;
-      cluster (pt (Int64.sub top (Int64.shift_left 1L 28)));
+      cluster (pt (top - (1 lsl 28)));
     ]
 
 (* Rings grown by single adds carry a delta of new points; the rule
@@ -372,23 +373,19 @@ let ref_route_pp ring neighbors ~salt ~src ~key =
   let resp = Ring.successor_exn ring key in
   if Point.equal src resp then [ src ]
   else begin
-    let seed =
-      ref_mix_int (salt lxor Point.to_key src lxor ref_mix_int (Point.to_key key))
-    in
-    let kkey = Point.to_key key in
+    let seed = ref_mix_int (salt lxor (src :> int) lxor ref_mix_int (key :> int)) in
     let rec go current acc hops =
       let scur =
         match Ring.strict_successor ring current with Some s -> s | None -> assert false
       in
-      let kcur = Point.to_key current in
-      let arc = (Point.to_key scur - kcur) land Point.key_mask in
-      let dist_key = (kkey - kcur) land Point.key_mask in
+      let arc = Point.distance_cw current scur in
+      let dist_key = Point.distance_cw current key in
       if arc = 0 || (dist_key > 0 && dist_key <= arc) then List.rev (scur :: acc)
       else begin
         let candidates =
           List.filter_map
             (fun u ->
-              let d = (Point.to_key u - kcur) land Point.key_mask in
+              let d = Point.distance_cw current u in
               if d > 0 && d < dist_key then Some (u, d) else None)
             (neighbors current)
         in

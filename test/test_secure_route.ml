@@ -121,12 +121,11 @@ let test_message_cost_quadratic_in_group_size () =
     (actual > expected /. 3. && actual < expected *. 3.)
 
 let test_single_group_path_costs_nothing () =
-  let pop, _, g = make ~n:64 ~beta:0.0 () in
-  let ring = Adversary.Population.ring pop in
+  let _, _, g = make ~n:64 ~beta:0.0 () in
   let leaders = Tinygroups.Group_graph.leaders g in
   let src = leaders.(0) in
-  (* Key owned by src itself. *)
-  let key = Ring.responsibility ring src |> Option.get |> Interval.until_ in
+  (* Key owned by src itself: the top of its responsibility arc. *)
+  let key = src in
   let o = Tinygroups.Secure_route.search g ~failure:`Majority ~src ~key in
   Alcotest.(check int) "no edges crossed" 0 o.Tinygroups.Secure_route.messages;
   Alcotest.(check bool) "succeeds locally" true (Tinygroups.Secure_route.succeeded o)
