@@ -46,9 +46,4 @@ let run_trials_metrics rng ~metrics ~jobs ~trials f =
       v)
     out
 
-let warm_for_sharing g =
-  let ov = Tinygroups.Group_graph.overlay g in
-  Idspace.Ring.iter
-    (fun p -> ignore (ov.Overlay.Overlay_intf.neighbors p))
-    ov.Overlay.Overlay_intf.ring;
-  ignore (Tinygroups.Group_graph.blue_leaders g)
+let warm_for_sharing g = ignore (Tinygroups.Group_graph.blue_leaders g)

@@ -65,6 +65,6 @@ val map_configs : Prng.Rng.t -> jobs:int -> 'a list -> ('a -> Prng.Rng.t -> 'b) 
     {!warm_for_sharing} first. *)
 
 val warm_for_sharing : Tinygroups.Group_graph.t -> unit
-(** Force every lazily memoized structure reachable from searches on
-    [g] (overlay neighbour tables, the blue-leader cache) so the
-    graph can be shared read-only across domains. *)
+(** Force the lazily memoized structure reachable from searches on
+    [g] — the blue-leader cache; overlay tables are immutable after
+    [make] — so the graph can be shared read-only across domains. *)

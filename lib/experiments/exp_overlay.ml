@@ -156,8 +156,7 @@ let run_e16 ?(jobs = 1) rng scale =
         (src, key))
   in
   let succ g ~src ~key =
-    Tinygroups.Secure_route.succeeded
-      (Tinygroups.Secure_route.search g ~failure:`Majority ~src ~key)
+    (Tinygroups.Secure_route.verdict g ~failure:`Majority ~src ~key).Tinygroups.Secure_route.ok
   in
   (* Searches are deterministic in (graph, src, key), so the trials
      can fan out over domains once the shared views are warmed. *)

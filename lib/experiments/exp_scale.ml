@@ -119,11 +119,7 @@ let run_row stream n =
   let logn_g, logn_s =
     time (fun () ->
         let params = { Tinygroups.Params.default with Tinygroups.Params.beta } in
-        let overlay =
-          Tinygroups.Group_graph.overlay g1
-          (* same ring, same construction; sharing the memo keeps the
-             baseline build from re-warming n neighbour lists *)
-        in
+        let overlay = Tinygroups.Group_graph.overlay g1 in
         Baseline.Logn_groups.build ~params ~population:pop ~overlay
           ~member_oracle:Common.h1 ())
   in

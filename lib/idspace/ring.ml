@@ -244,6 +244,17 @@ let successor_rank t x =
 
 let to_sorted_array t = (fold_delta t).pts
 
+let equal a b =
+  a == b
+  || cardinal a = cardinal b
+     &&
+     let n = cardinal a in
+     let r = ref 0 in
+     while !r < n && Point.equal (nth a !r) (nth b !r) do
+       incr r
+     done;
+     !r = n
+
 let fold f t init =
   let acc = ref init in
   let nd = Array.length t.dpts and j = ref 0 in

@@ -85,6 +85,10 @@ val successor_rank : t -> Point.t -> int
 val to_sorted_array : t -> Point.t array
 (** All IDs in increasing ring position (a fresh array). *)
 
+val equal : t -> t -> bool
+(** Same IDs, so the same ranks: O(1) for one snapshot, O(n)
+    otherwise. *)
+
 val fold : (Point.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Point.t -> unit) -> t -> unit
 (** Ascending ring position, like the sorted array. *)

@@ -91,21 +91,18 @@ let route t ~client ~name ~key =
       Route_ok { owner; messages = size; stats = { hops = 1; route_cached = true } }
   | Some None | None -> (
       Sim.Metrics.incr t.metrics Sim.Metrics.kv_route_cache_miss;
-      let o = Tinygroups.Secure_route.search t.graph ~failure:`Majority ~src:client ~key in
-      match o.Tinygroups.Secure_route.result with
-      | Error red -> Route_blocked red
-      | Ok owner ->
-          Option.iter (fun c -> Hashtbl.replace c name owner) t.cache;
-          Route_ok
-            {
-              owner;
-              messages = o.Tinygroups.Secure_route.messages;
-              stats =
-                {
-                  hops = List.length o.Tinygroups.Secure_route.group_path;
-                  route_cached = false;
-                };
-            })
+      let v = Tinygroups.Secure_route.verdict t.graph ~failure:`Majority ~src:client ~key in
+      let owner = v.Tinygroups.Secure_route.stop in
+      if not v.Tinygroups.Secure_route.ok then Route_blocked owner
+      else begin
+        Option.iter (fun c -> Hashtbl.replace c name owner) t.cache;
+        Route_ok
+          {
+            owner;
+            messages = v.Tinygroups.Secure_route.messages;
+            stats = { hops = v.Tinygroups.Secure_route.hops; route_cached = false };
+          }
+      end)
 
 let write_value t ~client ~name ~value =
   let key = key_of t name in

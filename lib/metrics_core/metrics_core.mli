@@ -152,7 +152,7 @@ val group_lone_leader : string
     [fault_suppressed]. *)
 
 val overlay_rebuilds : string
-(** Full overlay reconstructions (fresh neighbour memo over a changed
-    ring). Batched membership changes must pay exactly one per batch
+(** Full overlay reconstructions (a fresh neighbour table over a
+    changed ring). Batched membership changes must pay exactly one per batch
     — asserted at the unit level for [Dynamic.join_many] /
     [depart_many]. *)

@@ -49,77 +49,154 @@ let neighbors_of ring w =
   done;
   !acc
 
-let rec make ring =
-  if Ring.cardinal ring = 0 then invalid_arg "Chord.make: empty ring";
-  (* Neighbour memo indexed by ring rank. Off-ring queries (rare; e.g.
-     a probe for an ID mid-join) compute uncached. *)
-  let memo : Point.t list option array = Array.make (Ring.cardinal ring) None in
-  let neighbors w =
-    let r = Ring.rank ring w in
-    if r < 0 then neighbors_of ring w
-    else
-      match memo.(r) with
-      | Some ns -> ns
-      | None ->
-          let ns = neighbors_of ring w in
-          memo.(r) <- Some ns;
-          ns
-  in
+(* [Point.distance_cw], written out so that the sweep's inner loop
+   makes no call. *)
+let dist (a : Point.t) (b : Point.t) = ((b :> int) - (a :> int)) land ((1 lsl 62) - 1)
+
+let set adj i x = Overlay_intf.set32 adj (4 * i) (Int32.of_int x)
+
+(* floor (log2 x) for x >= 1, by halving the bit range. *)
+let floor_lg x =
+  let l = if x lsr 32 > 0 then 32 else 0 in
+  let l = if x lsr (l + 16) > 0 then l + 16 else l in
+  let l = if x lsr (l + 8) > 0 then l + 8 else l in
+  let l = if x lsr (l + 4) > 0 then l + 4 else l in
+  let l = if x lsr (l + 2) > 0 then l + 2 else l in
+  if x lsr (l + 1) > 0 then l + 1 else l
+
+(* The linking rule applied to every rank at once, in one forward
+   sweep: the CSR table of {!Overlay_intf.t}.
+
+   [suc(w + 2^j)] only moves clockwise as [w] does, so each stride
+   keeps one monotone pointer [q.(j)] into the ring, unwrapped: an
+   index in [r+1, r+n] read mod n, where [r+n] stands for [w] itself
+   (the target wrapped into [w]'s own arc). A pointer moves at most
+   [2n] steps over the sweep, and a node queries only the strides
+   that leave its current finger's gap (see [neighbors_of]).
+
+   The fingers come out clockwise from [w]; the row is ascending rank,
+   so those that wrapped past rank n-1 come first, then the
+   predecessor, then the rest (for rank 0 the predecessor n-1 comes
+   last). The buffer is sized once from a per-node bound: the first
+   finger lies one gap [g] away and every later one needs a stride
+   above the previous finger's distance, so a row holds at most
+   [63 - floor_lg g] entries — about lg n + 2 on a random ring, a few
+   percent above the true degree. The slack stays at the tail. *)
+let table ring =
   let n = Ring.cardinal ring in
+  let pts = Ring.to_sorted_array ring in
+  let cap = ref 0 in
+  if n > 1 then
+    for r = 0 to n - 1 do
+      let g = dist pts.(r) pts.(if r = n - 1 then 0 else r + 1) in
+      let bound = 63 - floor_lg g in
+      cap := !cap + if bound < n then bound else n - 1
+    done;
+  let adj = Overlay_intf.table_create !cap in
+  let off = Array.make (n + 1) 0 in
+  let q = Array.make 62 0 and fingers = Array.make 62 0 in
+  let pos = ref 0 in
+  for r = 0 to n - 1 do
+    off.(r) <- !pos;
+    let w = pts.(r) in
+    let m = ref 0 and j = ref 0 in
+    while !j <= 61 do
+      (* Advance stride j's pointer to the first ID at distance
+         [d >= 2^j]; [d] stays 0 when the stride wraps into [w]. *)
+      let stride = 1 lsl !j in
+      let p = ref (if q.(!j) > r then q.(!j) else r + 1) and d = ref 0 in
+      while !d = 0 && !p < r + n do
+        let x = dist w (Array.unsafe_get pts (if !p >= n then !p - n else !p)) in
+        if x < stride then incr p else d := x
+      done;
+      q.(!j) <- !p;
+      if !d = 0 then j := 62
+      else begin
+        fingers.(!m) <- !p;
+        incr m;
+        (* The next stride that leaves this finger's gap. *)
+        j := floor_lg !d + 1
+      end
+    done;
+    let wrapped = ref 0 in
+    while !wrapped < !m && fingers.(!wrapped) < n do
+      incr wrapped
+    done;
+    for i = !wrapped to !m - 1 do
+      set adj !pos (fingers.(i) - n);
+      incr pos
+    done;
+    let pred = n > 1 && not (!m > 0 && fingers.(!m - 1) = r + n - 1) in
+    if pred && r > 0 then begin
+      set adj !pos (r - 1);
+      incr pos
+    end;
+    for i = 0 to !wrapped - 1 do
+      set adj !pos fingers.(i);
+      incr pos
+    done;
+    if pred && r = 0 then begin
+      set adj !pos (n - 1);
+      incr pos
+    end
+  done;
+  off.(n) <- !pos;
+  (off, adj)
+
+let rec make ring =
+  let n = Ring.cardinal ring in
+  if n = 0 then invalid_arg "Chord.make: empty ring";
+  let off, adj = table ring in
+  (* Greedy closest preceding finger, in ranks: from rank [r] toward
+     [resp <> r], the neighbour farthest clockwise that stays short of
+     [resp], i.e. the largest offset [(u - r) mod n] below
+     [(resp - r) mod n]. The successor [r+1] (offset 1) is always a
+     neighbour, so the hop is [r+1] exactly when [resp = r+1]. Each
+     hop strictly shrinks the offset to [resp], so the walk ends. *)
+  let next r resp =
+    let bound = if resp >= r then resp - r else resp - r + n in
+    let best = ref 1 in
+    for i = off.(r) to off.(r + 1) - 1 do
+      let o = Int32.to_int (Overlay_intf.get32 adj (4 * i)) - r in
+      let o = if o < 0 then o + n else o in
+      if o < bound && o > !best then best := o
+    done;
+    let x = r + !best in
+    if x >= n then x - n else x
+  in
+  (* The first hop from a point off the ring, by the same rule over
+     point distances: [suc] of the source when the key falls before
+     it, else the farthest neighbour short of the key. *)
+  let first_off ~src ~key =
+    let s = Ring.successor_rank ring src in
+    let dkey = Point.distance_cw src key in
+    if dkey > 0 && dkey <= Point.distance_cw src (Ring.nth ring s) then s
+    else begin
+      let best_u = ref s and best_d = ref (-1) in
+      List.iter
+        (fun u ->
+          let d = Point.distance_cw src u in
+          if d > 0 && d < dkey && d > !best_d then begin
+            best_u := Ring.rank ring u;
+            best_d := d
+          end)
+        (neighbors_of ring src);
+      !best_u
+    end
+  in
+  let run ~src ~key visit st =
+    let resp = Ring.successor_rank ring key in
+    let r = Ring.rank ring src in
+    if visit st r && r <> resp then begin
+      let cur = ref (if r >= 0 then next r resp else first_off ~src ~key) in
+      while visit st !cur && !cur <> resp do
+        cur := next !cur resp
+      done
+    end
+  in
   let max_hops =
     let lg = int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.)) in
     (2 * lg) + 8
   in
-  (* Greedy progress strictly decreases the clockwise distance to the
-     key, so [n] hops is a hard correctness bound; [max_hops] is the
-     expected O(log n) diagnostic. *)
-  let hard_bound = n + 1 in
-  let route ~src ~key =
-    let resp = Ring.successor_exn ring key in
-    if Point.equal src resp then [ src ]
-    else begin
-      let rec go current acc hops =
-        if hops > hard_bound then failwith "Chord.route: hop bound exceeded"
-        else begin
-          let scur =
-            match Ring.strict_successor ring current with
-            | Some s -> s
-            | None -> assert false
-          in
-          let arc = Point.distance_cw current scur in
-          let dkey = Point.distance_cw current key in
-          if arc = 0 || (dkey > 0 && dkey <= arc) then
-            (* key lands in (current, successor]: successor is
-               responsible; final hop. *)
-            List.rev (scur :: acc)
-          else begin
-            (* Closest preceding finger: the neighbour farthest
-               clockwise that does not reach the key. [0 < d < dkey]
-               subsumes the seed's range/inequality checks; strictly
-               greater [d] replaces, so ties keep the earlier
-               neighbour, exactly as before. *)
-            let best_u = ref current and best_d = ref (-1) in
-            List.iter
-              (fun u ->
-                let d = Point.distance_cw current u in
-                if d > 0 && d < dkey && d > !best_d then begin
-                  best_u := u;
-                  best_d := d
-                end)
-              (neighbors current);
-            let next = if !best_d >= 0 then !best_u else scur in
-            go next (next :: acc) (hops + 1)
-          end
-        end
-      in
-      go src [ src ] 0
-    end
-  in
-  {
-    Overlay_intf.ring;
-    neighbors;
-    neighbors_in = neighbors_of;
-    route;
-    max_hops;
-    rebuild = make;
-  }
+  Overlay_intf.make ~ring ~off ~adj ~neighbors_in:neighbors_of ~walk:{ Overlay_intf.run } ~max_hops
+    ~rebuild:make

@@ -7,18 +7,24 @@ let half_point ~bit p =
   Point.add_cw Point.zero (((p : Point.t :> int) lsr 1) lor top)
 
 (* All ring members whose responsibility arc intersects the clockwise
-   arc (from, until]: the members inside the arc plus suc(until). *)
+   arc (from, until]: the members inside the arc plus suc(until). The
+   walk visits each member at most once: when every member lies in
+   the arc it stops back at the first. An image arc with
+   [from = until] is one whose ends halve to the same point (adjacent
+   IDs [2k], [2k+1]): it holds no whole point, so only suc(until)
+   covers it, not the whole ring. *)
 let nodes_covering ring ~from ~until =
   let acc = ref [ Ring.successor_exn ring until ] in
-  let rec walk m =
-    if Point.in_cw_range ~from ~until m then begin
-      acc := m :: !acc;
-      match Ring.strict_successor ring m with
-      | Some next when not (Point.equal next m) -> walk next
-      | _ -> ()
-    end
-  in
-  (match Ring.strict_successor ring from with Some m -> walk m | None -> ());
+  (if not (Point.equal from until) then
+     let first = Ring.strict_successor_exn ring from in
+     let rec walk m =
+       if Point.in_cw_range ~from ~until m then begin
+         acc := m :: !acc;
+         let next = Ring.strict_successor_exn ring m in
+         if not (Point.equal next first) then walk next
+       end
+     in
+     walk first);
   List.sort_uniq Point.compare !acc
 
 (* Images of an arc under one halving map. A wrapping arc is split at
@@ -52,66 +58,49 @@ let neighbors_of ring w =
 let rec make ring =
   let n = Ring.cardinal ring in
   if n = 0 then invalid_arg "Debruijn.make: empty ring";
-  (* Rank-indexed neighbour memo (see {!Chord.make}). *)
-  let memo : Point.t list option array = Array.make n None in
-  let neighbors w =
-    let r = Ring.rank ring w in
-    if r < 0 then neighbors_of ring w
-    else
-      match memo.(r) with
-      | Some ns -> ns
-      | None ->
-          let ns = neighbors_of ring w in
-          memo.(r) <- Some ns;
-          ns
+  (* The table, filled eagerly at [make]: one row per rank, from the
+     per-node rule, mapped to ranks. *)
+  let rows =
+    Array.init n (fun r -> List.map (Ring.rank ring) (neighbors_of ring (Ring.nth ring r)))
   in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun r row -> off.(r + 1) <- off.(r) + List.length row) rows;
+  let adj = Overlay_intf.table_create off.(n) in
+  Array.iteri
+    (fun r row ->
+      List.iteri (fun i u -> Overlay_intf.set32 adj (4 * (off.(r) + i)) (Int32.of_int u)) row)
+    rows;
   let steps = halving_steps n in
-  let route ~src ~key =
-    let resp = Ring.successor_exn ring key in
-    if Point.equal src resp then [ src ]
-    else begin
+  let run ~src ~key visit st =
+    let resp = Ring.successor_rank ring key in
+    let r = Ring.rank ring src in
+    if visit st r && r <> resp then begin
       (* Phase 1: prepend the top [steps] bits of a point slightly
          counter-clockwise of the key (so phase 2 can only walk
          forwards into the responsible ID, never past it), most
          significant bit applied last. The continuous walk point and
-         the ID responsible for it are tracked together. *)
+         the rank responsible for it are tracked together. *)
       let slack = 1 lsl (62 - steps) in
       let key_bits = (Point.add_cw key (-2 * slack) :> int) in
-      let continuous = ref src in
-      let path = ref [ src ] in
-      let current = ref src in
-      for i = steps downto 1 do
-        let bit = (key_bits lsr (62 - i)) land 1 = 1 in
+      let continuous = ref src and current = ref r and go = ref true and i = ref steps in
+      while !go && !i >= 1 do
+        let bit = (key_bits lsr (62 - !i)) land 1 = 1 in
         continuous := half_point ~bit !continuous;
-        let node = Ring.successor_exn ring !continuous in
-        if not (Point.equal node !current) then begin
-          path := node :: !path;
+        let node = Ring.successor_rank ring !continuous in
+        if node <> !current then begin
+          go := visit st node;
           current := node
-        end
+        end;
+        decr i
       done;
       (* Phase 2: the walk point now agrees with the key on its top
          [steps] bits, so the responsible ID is at most a couple of
          successor hops away. *)
-      let guard = ref 0 in
-      while (not (Point.equal !current resp)) && !guard <= n do
-        incr guard;
-        let next =
-          match Ring.strict_successor ring !current with
-          | Some s -> s
-          | None -> assert false
-        in
-        path := next :: !path;
-        current := next
-      done;
-      if !guard > n then failwith "Debruijn.route: successor walk failed";
-      List.rev !path
+      while !go && !current <> resp do
+        current := if !current = n - 1 then 0 else !current + 1;
+        go := visit st !current
+      done
     end
   in
-  {
-    Overlay_intf.ring;
-    neighbors;
-    neighbors_in = neighbors_of;
-    route;
-    max_hops = steps + 4;
-    rebuild = make;
-  }
+  Overlay_intf.make ~ring ~off ~adj ~neighbors_in:neighbors_of ~walk:{ Overlay_intf.run }
+    ~max_hops:(steps + 4) ~rebuild:make

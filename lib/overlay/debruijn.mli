@@ -8,7 +8,10 @@
     intersects the images of its own arc under [l] and [r], plus its
     ring predecessor and successor. Expected degree is [O(1)]; routing
     follows the bits of the key and takes [ceil(log2 N) + O(1)]
-    halving steps plus a short successor walk. *)
+    halving steps plus a short successor walk.
+
+    [make] applies the rule to every ID once and keeps the rows as the
+    view's rank table; the route walks ranks (see {!Overlay_intf}). *)
 
 open Idspace
 

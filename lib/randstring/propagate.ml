@@ -1,4 +1,3 @@
-open Idspace
 open Adversary
 
 let log_src = Logs.Src.create "randstring.propagate" ~doc:"Global random-string protocol"
@@ -31,29 +30,26 @@ type result = {
 }
 
 (* The communication graph: non-hijacked groups, linked per the
-   overlay; returns the index of every leader, adjacency lists, and
-   the largest connected component. *)
+   overlay; returns every leader (index = ring rank), adjacency lists,
+   and the largest connected component. The overlay's table rows are
+   in the graph's ranks already. *)
 let component graph =
   let open Tinygroups in
   let leaders = Group_graph.leaders graph in
   let n = Array.length leaders in
-  let index : (Point.t, int) Hashtbl.t = Hashtbl.create (2 * n) in
-  Array.iteri (fun i w -> Hashtbl.replace index w i) leaders;
-  let alive = Array.map (fun w -> not (Group_graph.hijacked graph w)) leaders in
+  let alive = Array.init n (fun i -> not (Group_graph.hijacked_at graph i)) in
   let adj = Array.make n [] in
-  let overlay = Group_graph.overlay graph in
-  Array.iteri
-    (fun i w ->
-      if alive.(i) then
-        List.iter
-          (fun u ->
-            match Hashtbl.find_opt index u with
-            | Some j when alive.(j) ->
-                adj.(i) <- j :: adj.(i);
-                adj.(j) <- i :: adj.(j)
-            | _ -> ())
-          (overlay.Overlay.Overlay_intf.neighbors w))
-    leaders;
+  let { Overlay.Overlay_intf.off; adj = table; _ } = Group_graph.overlay graph in
+  for i = 0 to n - 1 do
+    if alive.(i) then
+      for e = off.(i) to off.(i + 1) - 1 do
+        let j = Overlay.Overlay_intf.table_get table e in
+        if alive.(j) then begin
+          adj.(i) <- j :: adj.(i);
+          adj.(j) <- i :: adj.(j)
+        end
+      done
+  done;
   let adj = Array.map (List.sort_uniq compare) adj in
   (* Largest component among alive nodes. *)
   let comp = Array.make n (-1) in
@@ -105,9 +101,7 @@ let run rng graph ~epoch_steps config =
   let is_participant =
     Array.mapi (fun i w -> in_giant.(i) && not (Population.is_bad pop w)) leaders
   in
-  let group_size =
-    Array.map (fun w -> Group.size (Group_graph.group_of graph w)) leaders
-  in
+  let group_size = Array.init n (fun i -> Group.size (Group_graph.group_at graph i)) in
   (* Per-node filter state and per-round outboxes. *)
   let bins =
     Array.map

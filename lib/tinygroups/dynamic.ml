@@ -96,7 +96,7 @@ let join_many rng metrics g ~old_pair ~member_oracle ~ids =
        Joins never modify existing groups, so only the growing ring
        is kept: one {!Ring.add} per newcomer, which copies only the
        ring's small delta of added points, and every overlay query
-       goes through the memo-free [neighbors_in]. The batch then pays
+       goes through the table-free [neighbors_in]. The batch then pays
        a single population merge, overlay rebuild and assembly, where
        the fold pays one of each per newcomer. *)
     let ring = ref ring0 in

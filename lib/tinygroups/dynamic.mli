@@ -48,7 +48,7 @@ val join_many :
     Each newcomer's draws come from a stream keyed on its identity
     ([Prng.Rng.of_subkey] of a base drawn from [rng] at the ID's
     turn), and the j-th newcomer runs the join protocol against a
-    ring holding the first j-1, queried through memo-free neighbour
+    ring holding the first j-1, queried through table-free neighbour
     functions. The batch then pays one population merge, one overlay
     rebuild (counted under {!Sim.Metrics.overlay_rebuilds}) and one
     graph assembly. So the graph and aggregate cost equal those of

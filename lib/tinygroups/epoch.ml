@@ -230,9 +230,9 @@ let build_next t ~old ~new_pop ~new_overlay ~member_oracle ~phase =
     Prng.Rng.subkey t.stream_key (Int64.of_int ((2 * t.epoch_) + phase))
   in
   (* Warm every lazily-built structure the slices read, so the
-     parallel region performs only idempotent value-equal memo writes
-     (overlay neighbour arrays) — never a first Lazy.force or a
-     blue-cache build, which must not race. *)
+     parallel region never performs a first Lazy.force or a
+     blue-cache build, which must not race (overlay tables are
+     immutable after [make]). *)
   ignore (Lazy.force Membership.(old.bad_ring));
   ignore (Group_graph.blue_leaders Membership.(old.g1));
   Option.iter (fun g -> ignore (Group_graph.blue_leaders g)) Membership.(old.g2);

@@ -79,8 +79,12 @@ let rank_of t p =
 
 (* -- construction -------------------------------------------------- *)
 
+(* Searches walk the overlay's ranks and read the groups at those
+   ranks, so the overlay must be built over the population's ring. *)
 let make ~params ~population ~overlay ~group_by_rank ~confused ~suspect =
   let ring = Population.ring population in
+  if not (Ring.equal overlay.Overlay.Overlay_intf.ring ring) then
+    invalid_arg "Group_graph: overlay ring is not the population's ring";
   let n = Ring.cardinal ring in
   let slot_key, slot_rank, slot_mask = make_slots ring in
   let confused_bits = bitmap n and suspect_bits = bitmap n in
@@ -255,10 +259,22 @@ let equal a b =
 
 (* -- queries ------------------------------------------------------- *)
 
-let group_of t p =
+let group_at t r = t.group_by_rank.(r)
+
+let red_at t r =
+  let g = t.group_by_rank.(r) in
+  g.Group.health <> Group.Good || bit_get t.confused_bits r
+
+let hijacked_at t r =
+  let g = t.group_by_rank.(r) in
+  g.Group.health = Group.Hijacked || bit_get t.confused_bits r
+
+let leader_rank t p =
   let r = rank_of t p in
   if r < 0 then raise Not_found;
-  Array.unsafe_get t.group_by_rank r
+  r
+
+let group_of t p = Array.unsafe_get t.group_by_rank (leader_rank t p)
 
 let is_confused t p =
   let r = rank_of t p in
@@ -268,17 +284,9 @@ let is_suspect t p =
   let r = rank_of t p in
   r >= 0 && bit_get t.suspect_bits r
 
-let color_of t p =
-  let r = rank_of t p in
-  if r < 0 then raise Not_found;
-  let g = Array.unsafe_get t.group_by_rank r in
-  if g.Group.health = Group.Good && not (bit_get t.confused_bits r) then Blue else Red
+let color_of t p = if red_at t (leader_rank t p) then Red else Blue
 
-let hijacked t p =
-  let r = rank_of t p in
-  if r < 0 then raise Not_found;
-  let g = Array.unsafe_get t.group_by_rank r in
-  g.Group.health = Group.Hijacked || bit_get t.confused_bits r
+let hijacked t p = hijacked_at t (leader_rank t p)
 
 let mark_confused t p =
   let r = rank_of t p in
@@ -375,9 +383,7 @@ let blue_leaders t =
       let acc = ref [] in
       let n = Array.length t.group_by_rank in
       for r = n - 1 downto 0 do
-        let g = Array.unsafe_get t.group_by_rank r in
-        if g.Group.health = Group.Good && not (bit_get t.confused_bits r) then
-          acc := Ring.nth t.ring r :: !acc
+        if not (red_at t r) then acc := Ring.nth t.ring r :: !acc
       done;
       let blue = Array.of_list !acc in
       t.blue_cache <- Some blue;

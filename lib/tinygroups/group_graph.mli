@@ -75,7 +75,7 @@ val build_direct :
 (** Form [G_w] for every ID [w] with members
     [suc(oracle(w, i))], [i = 1 .. draws], where [draws] comes from
     [w]'s decentralised [ln ln n] estimate. The overlay must be built
-    over [population]'s ring.
+    over [population]'s ring: [Invalid_argument] otherwise.
 
     [?jobs] (default 1) fans the formation loop over that many
     domains of a {!Parallel.Pool} with a deterministic rank-split:
@@ -109,6 +109,23 @@ val equal : t -> t -> bool
 
 val group_of : t -> Point.t -> Group.t
 (** @raise Not_found for a point that is not a leader. *)
+
+(** {2 Rank access}
+
+    The graph is aligned to the population's ring, which is also the
+    overlay's ring ({!build_direct} and {!assemble} raise
+    [Invalid_argument] otherwise). A rank the overlay's walk produces
+    therefore indexes the group it names directly, with no leader
+    lookup. *)
+
+val group_at : t -> int -> Group.t
+(** The group led by the ID of the given rank. *)
+
+val red_at : t -> int -> bool
+(** {!color_of} [= Red], by rank. *)
+
+val hijacked_at : t -> int -> bool
+(** {!hijacked}, by rank. *)
 
 val color_of : t -> Point.t -> color
 (** Red iff the group is not {!Group.Good} or its leader is

@@ -50,9 +50,9 @@ let one_search ~conds rng metrics graph ~failure ~src ~point =
   match src with
   | None -> false (* no blue group anywhere: total adversary control *)
   | Some src ->
-      let o = Secure_route.search graph ~failure ~src ~key:point in
-      Sim.Metrics.add metrics Sim.Metrics.msg_membership o.Secure_route.messages;
-      Secure_route.succeeded o
+      let v = Secure_route.verdict graph ~failure ~src ~key:point in
+      Sim.Metrics.add metrics Sim.Metrics.msg_membership v.Secure_route.messages;
+      v.Secure_route.ok
 
 (* Run one search per old graph from [pick_src graph] and count how
    many the adversary hijacked. *)

@@ -22,10 +22,10 @@ let search_success rng g ~failure ~samples =
   for _ = 1 to samples do
     let src = sources.(Prng.Rng.int rng (Array.length sources)) in
     let key = Point.random rng in
-    let o = Secure_route.search g ~failure ~src ~key in
-    if Secure_route.succeeded o then incr successes;
-    messages := !messages + o.Secure_route.messages;
-    hops := !hops + List.length o.Secure_route.group_path
+    let v = Secure_route.verdict g ~failure ~src ~key in
+    if v.Secure_route.ok then incr successes;
+    messages := !messages + v.Secure_route.messages;
+    hops := !hops + v.Secure_route.hops
   done;
   {
     samples;
@@ -58,7 +58,7 @@ let id_coverage rng g ~failure ~ids ~keys ~threshold =
         let ok = ref 0 in
         for _ = 1 to keys do
           let key = Point.random rng in
-          if Secure_route.succeeded (Secure_route.search g ~failure ~src ~key) then incr ok
+          if (Secure_route.verdict g ~failure ~src ~key).Secure_route.ok then incr ok
         done;
         float_of_int !ok /. float_of_int keys)
       picks
@@ -114,31 +114,25 @@ type state_report = {
 }
 
 let state_costs g =
-  let overlay = Group_graph.overlay g in
-  (* Per-group cost borne by each of its members: intra-group links
-     plus all-to-all links toward every neighbouring group. *)
-  let group_cost : (Point.t, int) Hashtbl.t = Hashtbl.create (2 * Group_graph.n_groups g) in
-  Group_graph.iter_groups
-    (fun w (grp : Group.t) ->
-      let intra = Group.size grp - 1 in
-      let neighbor_links =
-        List.fold_left
-          (fun acc v ->
-            match Group_graph.group_of g v with
-            | gv -> acc + Group.size gv
-            | exception Not_found -> acc)
-          0
-          (overlay.Overlay.Overlay_intf.neighbors grp.Group.leader)
-      in
-      Hashtbl.replace group_cost w (intra + neighbor_links))
-    g;
+  let { Overlay.Overlay_intf.off; adj; _ } = Group_graph.overlay g in
+  (* Per-group cost borne by each of its members, by rank: intra-group
+     links plus all-to-all links toward every neighbouring group (the
+     overlay's table row, whose ranks are the graph's). *)
+  let group_cost =
+    Array.init (Group_graph.n_groups g) (fun r ->
+        let cost = ref (Group.size (Group_graph.group_at g r) - 1) in
+        for i = off.(r) to off.(r + 1) - 1 do
+          cost := !cost + Group.size (Group_graph.group_at g (Overlay.Overlay_intf.table_get adj i))
+        done;
+        !cost)
+  in
   let links : (Point.t, int) Hashtbl.t = Hashtbl.create 4096 in
   let memberships : (Point.t, int) Hashtbl.t = Hashtbl.create 4096 in
   (* Ring order again: the [replace] sequence fixes the fold order
      of [links]/[memberships] below, which feeds the summaries. *)
-  Group_graph.iter_groups
-    (fun w (grp : Group.t) ->
-      let cost = Hashtbl.find group_cost w in
+  Array.iteri
+    (fun r cost ->
+      let grp = Group_graph.group_at g r in
       Array.iteri
         (fun i m ->
           if not (Group.member_is_bad grp i) then begin
@@ -147,7 +141,7 @@ let state_costs g =
               (1 + Option.value ~default:0 (Hashtbl.find_opt memberships m))
           end)
         grp.Group.members)
-    g;
+    group_cost;
   (* The population summarised is the set of good IDs that serve in at
      least one group — in an epoch-built graph the member population
      (the previous epoch's IDs) is distinct from the leader

@@ -29,6 +29,26 @@ type outcome = {
       (** All-to-all messages spent along the traversed prefix. *)
 }
 
+type verdict = {
+  ok : bool;  (** {!succeeded}: no blocking group on the path. *)
+  messages : int;  (** As {!outcome}'s [messages]. *)
+  hops : int;  (** Groups traversed: the length of [group_path]. *)
+  stop : Point.t;
+      (** Where the walk stopped: the responsible ID on success, the
+          first blocking group otherwise. *)
+}
+
+val verdict :
+  Group_graph.t ->
+  failure:failure_notion ->
+  src:Point.t ->
+  key:Point.t ->
+  verdict
+(** {!search} without the path: the same walk, over the overlay's
+    ranks, allocating a fixed few words whatever the path length.
+    Callers that only need the outcome, the cost and the hop count
+    use this. *)
+
 val search :
   Group_graph.t ->
   failure:failure_notion ->
@@ -38,7 +58,10 @@ val search :
 (** [search g ~failure ~src ~key] routes from the group led by [src]
     toward [suc key]. [src] must be a leader (i.e. an ID of the
     population). Recursive forwarding: each group hands the request
-    to the next (Appendix VI), costing [|G_a| * |G_b|] per edge. *)
+    to the next (Appendix VI), costing [|G_a| * |G_b|] per edge.
+    The walk follows the overlay's rank route and reads each hop's
+    group by rank.
+    @raise Not_found when [src] is not a leader. *)
 
 val search_iterative :
   Group_graph.t ->

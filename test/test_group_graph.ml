@@ -232,6 +232,36 @@ let test_assemble_validations () =
            ~groups:(List.hd all_groups :: all_groups)
            ~confused:[] ()))
 
+(* Searches read the group at each rank the overlay's walk produces,
+   so a view over another ring would route through the wrong groups
+   without a word: both constructors must refuse it. A view over an
+   equal copy of the ring (not the same value) is fine. *)
+let test_overlay_ring_must_match () =
+  let pop, g = make ~n:64 ~beta:0.0 () in
+  let ring = Adversary.Population.ring pop in
+  let other = Overlay.Chord.make (Ring.populate (Prng.Rng.split rng) 64) in
+  let want = Invalid_argument "Group_graph: overlay ring is not the population's ring" in
+  Alcotest.check_raises "build_direct" want (fun () ->
+      ignore
+        (Tinygroups.Group_graph.build_direct ~params ~population:pop ~overlay:other
+           ~member_oracle:oracle ()));
+  let groups =
+    Array.to_list
+      (Array.map
+         (fun w -> (w, Tinygroups.Group_graph.group_of g w))
+         (Tinygroups.Group_graph.leaders g))
+  in
+  Alcotest.check_raises "assemble" want (fun () ->
+      ignore
+        (Tinygroups.Group_graph.assemble ~params ~population:pop ~overlay:other ~groups
+           ~confused:[] ()));
+  let copy = Overlay.Chord.make (Ring.of_array (Ring.to_sorted_array ring)) in
+  let g' =
+    Tinygroups.Group_graph.assemble ~params ~population:pop ~overlay:copy ~groups
+      ~confused:[] ()
+  in
+  Alcotest.(check bool) "equal ring accepted" true (Tinygroups.Group_graph.equal g g')
+
 let test_groups_per_id_positive () =
   let _, g = make ~n:512 () in
   let counts = Tinygroups.Group_graph.groups_per_id g in
@@ -333,6 +363,7 @@ let () =
           Alcotest.test_case "mark_confused invalidates blue cache" `Quick
             test_mark_confused_invalidates_blue_cache;
           Alcotest.test_case "validations" `Quick test_assemble_validations;
+          Alcotest.test_case "overlay ring must match" `Quick test_overlay_ring_must_match;
         ] );
       ( "properties",
         [

@@ -202,9 +202,10 @@ let test_chord_rule_grown () =
       done)
     [ 1; 50; 2000 ]
 
-(* The memoised [neighbors] of a view, its [neighbors_in] and Chord++'s
-   inherited neighbours are one rule, on compact and grown rings. *)
-let test_chord_memo_and_chordpp_agree () =
+(* The table-read [neighbors] of a view (the rule itself for the
+   probes off the ring), its [neighbors_in] and Chord++'s shared table
+   are one rule, on compact and grown rings. *)
+let test_chord_table_and_chordpp_agree () =
   let r = Prng.Rng.create 29 in
   let base = Ring.populate r 1500 in
   let grown = List.fold_left (fun t _ -> Ring.add (Point.random r) t) base (List.init 20 Fun.id) in
@@ -214,13 +215,10 @@ let test_chord_memo_and_chordpp_agree () =
       List.iter
         (fun w ->
           let want = ref_chord_neighbors ring w in
-          (* Twice: the second call reads the memo. *)
-          for _ = 1 to 2 do
-            Alcotest.(check bool) "memoised = reference" true
-              (chord.Overlay.Overlay_intf.neighbors w = want);
-            Alcotest.(check bool) "chord++ = reference" true
-              (pp.Overlay.Overlay_intf.neighbors w = want)
-          done;
+          Alcotest.(check bool) "table = reference" true
+            (chord.Overlay.Overlay_intf.neighbors w = want);
+          Alcotest.(check bool) "chord++ = reference" true
+            (pp.Overlay.Overlay_intf.neighbors w = want);
           Alcotest.(check bool) "chord++ neighbors_in = reference" true
             (pp.Overlay.Overlay_intf.neighbors_in ring w = want))
         (chord_probes r ring))
@@ -259,7 +257,7 @@ let test_neighbors_exclude_self () =
         ring)
     [ Overlay.Chord.make ring; Overlay.Debruijn.make ring ]
 
-(* [neighbors_in] is the memo-free form of [rebuild]'s linking rule,
+(* [neighbors_in] is the table-free form of [rebuild]'s linking rule,
    on a ring the view was not built over. *)
 let test_neighbors_in_matches_rebuild () =
   let ring = mk_ring 256 in
@@ -302,6 +300,29 @@ let test_is_neighbor_and_path_ok_reject () =
     Alcotest.(check bool) "forged path rejected" false
       (Overlay.Overlay_intf.path_ok ov [ a; far; resp ] key)
   else ()
+
+(* The distance-halving rule once circled the ring forever on two
+   kinds of image arc: one that holds every ID (a ring of two, or a
+   ring crowded into a quarter of the ID space), and an empty one
+   whose ends halve to the same point (adjacent IDs [2k], [2k+1]).
+   Both must now build, and route along links. *)
+let test_debruijn_degenerate_arcs () =
+  let pt = Point.add_cw Point.zero in
+  List.iter
+    (fun ps ->
+      let ring = Ring.of_list ps in
+      let ov = Overlay.Debruijn.make ring in
+      Ring.iter
+        (fun w ->
+          let key = Point.add_cw w 7 in
+          Alcotest.(check bool) "path validates" true
+            (Overlay.Overlay_intf.path_ok ov (ov.Overlay.Overlay_intf.route ~src:w ~key) key))
+        ring)
+    [
+      [ pt 0x1000; pt 0x1001; pt (1 lsl 60); pt 1; pt 0 ];
+      [ pt 5; pt (1 lsl 61) ];
+      List.init 8 (fun i -> pt ((1 lsl 58) + (i lsl 40)));
+    ]
 
 let test_empty_ring_rejected () =
   Alcotest.check_raises "chord" (Invalid_argument "Chord.make: empty ring") (fun () ->
@@ -411,6 +432,134 @@ let ref_route_pp ring neighbors ~salt ~src ~key =
     in
     go src [ src ] 0
   end
+
+(* Frozen reference of Chord's greedy route as it was written over
+   points, before routes ran in ranks: at each hop, the successor if
+   the key falls before it, else the neighbour farthest clockwise
+   that stays short of the key (ties impossible between distinct
+   points), else the successor. *)
+let ref_route_chord ring neighbors ~src ~key =
+  let resp = Ring.successor_exn ring key in
+  if Point.equal src resp then [ src ]
+  else begin
+    let rec go current acc =
+      let scur = Ring.strict_successor_exn ring current in
+      let arc = Point.distance_cw current scur in
+      let dkey = Point.distance_cw current key in
+      if arc = 0 || (dkey > 0 && dkey <= arc) then List.rev (scur :: acc)
+      else begin
+        let best_u = ref current and best_d = ref (-1) in
+        List.iter
+          (fun u ->
+            let d = Point.distance_cw current u in
+            if d > 0 && d < dkey && d > !best_d then begin
+              best_u := u;
+              best_d := d
+            end)
+          (neighbors current);
+        let next = if !best_d >= 0 then !best_u else scur in
+        go next (next :: acc)
+      end
+    in
+    go src [ src ]
+  end
+
+(* Frozen reference of the distance-halving route over points: [steps]
+   halving steps toward a point just counter-clockwise of the key,
+   recording each new responsible ID, then successor hops to
+   [suc key]. *)
+let ref_route_debruijn ring ~src ~key =
+  let resp = Ring.successor_exn ring key in
+  if Point.equal src resp then [ src ]
+  else begin
+    let steps = Overlay.Debruijn.halving_steps (Ring.cardinal ring) in
+    let slack = 1 lsl (62 - steps) in
+    let key_bits = (Point.add_cw key (-2 * slack) :> int) in
+    let continuous = ref src and path = ref [ src ] and current = ref src in
+    for i = steps downto 1 do
+      let bit = (key_bits lsr (62 - i)) land 1 = 1 in
+      continuous := Overlay.Debruijn.half_point ~bit !continuous;
+      let node = Ring.successor_exn ring !continuous in
+      if not (Point.equal node !current) then begin
+        path := node :: !path;
+        current := node
+      end
+    done;
+    while not (Point.equal !current resp) do
+      current := Ring.strict_successor_exn ring !current;
+      path := !current :: !path
+    done;
+    List.rev !path
+  end
+
+(* The rings of the table and route laws: uniform; packed on both
+   sides of the wrap point; grown by single adds with the delta still
+   pending; and the smallest rings, n = 1, 2, 3. *)
+let law_ring seed kind n =
+  let r = Prng.Rng.create seed in
+  match kind with
+  | 0 -> Ring.populate r n
+  | 1 ->
+      Ring.of_list
+        (List.init n (fun i ->
+             let off = Prng.Rng.int r (1 lsl 20) in
+             Point.add_cw Point.zero (if i mod 2 = 0 then off else -1 - off)))
+  | 2 ->
+      (* k adds to n points fold into the base only once k^2 >= n + k. *)
+      let k = max 1 (int_of_float (sqrt (float_of_int n)) - 1) in
+      List.fold_left
+        (fun t _ -> Ring.add (Point.random r) t)
+        (Ring.populate r (n + 2))
+        (List.init k Fun.id)
+  | _ -> Ring.populate r (1 + (n mod 3))
+
+let law_arb = QCheck.(triple small_nat (int_range 0 3) (int_range 1 400))
+
+(* Every rank's table row, read back through [neighbors], equals the
+   table-free rule [neighbors_in] and, for the Chord family, the
+   reference rule — order included — on all three constructions. *)
+let prop_table_is_rule =
+  QCheck.Test.make ~name:"table rows = linking rule, all constructions" ~count:60 law_arb
+    (fun (seed, kind, n) ->
+      let ring = law_ring seed kind n in
+      List.for_all
+        (fun (ov, chord_family) ->
+          Ring.fold
+            (fun w ok ->
+              let row = ov.Overlay.Overlay_intf.neighbors w in
+              ok
+              && row = ov.Overlay.Overlay_intf.neighbors_in ring w
+              && ((not chord_family) || row = ref_chord_neighbors ring w))
+            ring true)
+        [
+          (Overlay.Chord.make ring, true);
+          (Overlay.Chord_pp.make ~salt:seed ring, true);
+          (Overlay.Debruijn.make ring, false);
+        ])
+
+(* Rank routes equal the frozen point walks, from members and from
+   points off the ring. On a ring of one ID the frozen Chord walks
+   from an off-ring point end in a self-hop [w; w], which the rank
+   walk does not take: those rings route from their member only. *)
+let prop_rank_routes_are_frozen_walks =
+  QCheck.Test.make ~name:"rank routes = frozen point walks" ~count:60 law_arb
+    (fun (seed, kind, n) ->
+      let ring = law_ring seed kind n in
+      let r = Prng.Rng.create (seed + 1) in
+      let nbrs = ref_chord_neighbors ring in
+      let chord = Overlay.Chord.make ring
+      and pp = Overlay.Chord_pp.make ~salt:seed ring
+      and db = Overlay.Debruijn.make ring in
+      List.for_all
+        (fun _ ->
+          let m = Ring.random_member r ring in
+          let off_ring = Ring.cardinal ring > 1 && Prng.Rng.int r 4 = 0 in
+          let src = if off_ring then Point.add_cw m (-1 - Prng.Rng.int r 1000) else m in
+          let key = if Prng.Rng.int r 8 = 0 then Ring.random_member r ring else Point.random r in
+          chord.Overlay.Overlay_intf.route ~src ~key = ref_route_chord ring nbrs ~src ~key
+          && pp.Overlay.Overlay_intf.route ~src ~key = ref_route_pp ring nbrs ~salt:seed ~src ~key
+          && db.Overlay.Overlay_intf.route ~src ~key = ref_route_debruijn ring ~src ~key)
+        (List.init 30 Fun.id))
 
 let test_chord_pp_draw_parity () =
   let ring = mk_ring 512 in
@@ -573,10 +722,11 @@ let () =
             test_neighbors_in_matches_rebuild;
           Alcotest.test_case "forged paths rejected" `Quick test_is_neighbor_and_path_ok_reject;
           Alcotest.test_case "empty ring rejected" `Quick test_empty_ring_rejected;
+          Alcotest.test_case "debruijn degenerate arcs" `Quick test_debruijn_degenerate_arcs;
           Alcotest.test_case "chord rule on small rings" `Quick test_chord_rule_small_rings;
           Alcotest.test_case "chord rule on grown rings" `Quick test_chord_rule_grown;
-          Alcotest.test_case "chord memo = rule = chord++" `Quick
-            test_chord_memo_and_chordpp_agree;
+          Alcotest.test_case "chord table = rule = chord++" `Quick
+            test_chord_table_and_chordpp_agree;
           QCheck_alcotest.to_alcotest prop_chord_rule_random;
           QCheck_alcotest.to_alcotest prop_chord_rule_wrap;
         ] );
@@ -595,6 +745,9 @@ let () =
           Alcotest.test_case "route = frozen-reference draws" `Quick
             test_chord_pp_draw_parity;
         ] );
+      ( "rank-space",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_table_is_rule; prop_rank_routes_are_frozen_walks ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_all_hops_are_links; prop_debruijn_all_hops_are_links ] );

@@ -156,6 +156,71 @@ let prop_search_deterministic =
       o1.Tinygroups.Secure_route.result = o2.Tinygroups.Secure_route.result
       && o1.Tinygroups.Secure_route.messages = o2.Tinygroups.Secure_route.messages)
 
+(* [verdict] is [search] without the path: the same success, message
+   count, hop count and stopping group, under both failure notions and
+   over every construction. beta 0.2 makes many searches fail. *)
+let prop_verdict_is_search =
+  QCheck.Test.make ~name:"verdict = search's outcome" ~count:12
+    QCheck.(pair small_nat (int_range 0 2))
+    (fun (seed, construction) ->
+      let r = Prng.Rng.create seed in
+      let pop =
+        Adversary.Population.generate (Prng.Rng.split r) ~n:256 ~beta:0.2
+          ~strategy:Adversary.Placement.Uniform
+      in
+      let ring = Adversary.Population.ring pop in
+      let overlay =
+        match construction with
+        | 0 -> Overlay.Chord.make ring
+        | 1 -> Overlay.Chord_pp.make ~salt:seed ring
+        | _ -> Overlay.Debruijn.make ring
+      in
+      let g =
+        Tinygroups.Group_graph.build_direct ~params ~population:pop ~overlay
+          ~member_oracle:oracle ()
+      in
+      let leaders = Tinygroups.Group_graph.leaders g in
+      List.for_all
+        (fun _ ->
+          let src = leaders.(Prng.Rng.int r (Array.length leaders)) in
+          let key = Point.random r in
+          List.for_all
+            (fun failure ->
+              let o = Tinygroups.Secure_route.search g ~failure ~src ~key in
+              let v = Tinygroups.Secure_route.verdict g ~failure ~src ~key in
+              let path = o.Tinygroups.Secure_route.group_path in
+              let stop = match o.Tinygroups.Secure_route.result with Ok p | Error p -> p in
+              v.Tinygroups.Secure_route.ok = Tinygroups.Secure_route.succeeded o
+              && v.Tinygroups.Secure_route.messages = o.Tinygroups.Secure_route.messages
+              && v.Tinygroups.Secure_route.hops = List.length path
+              && Point.equal v.Tinygroups.Secure_route.stop stop
+              && Point.equal stop (List.nth path (List.length path - 1)))
+            [ `Conservative; `Majority ])
+        (List.init 40 Fun.id))
+
+(* The verdict walk allocates only its state and its result, whatever
+   the path length: at most 16 words per search at n = 2048. *)
+let test_verdict_allocation () =
+  let _, _, g = make ~n:2048 () in
+  let leaders = Tinygroups.Group_graph.leaders g in
+  let k = 2000 in
+  let srcs = Array.init k (fun _ -> leaders.(Prng.Rng.int rng (Array.length leaders))) in
+  let keys = Array.init k (fun _ -> Point.random rng) in
+  let run () =
+    for i = 0 to k - 1 do
+      ignore
+        (Sys.opaque_identity
+           (Tinygroups.Secure_route.verdict g ~failure:`Majority ~src:srcs.(i) ~key:keys.(i)))
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let per_search = (Gc.minor_words () -. w0) /. float_of_int k in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per verdict <= 16" per_search)
+    true (per_search <= 16.)
+
 (* Iterative search. *)
 
 let test_iterative_same_path_different_cost () =
@@ -223,5 +288,10 @@ let () =
             test_iterative_same_path_different_cost;
           Alcotest.test_case "cost formula" `Quick test_iterative_cost_formula;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_search_deterministic ]);
+      ( "properties",
+        [
+          QCheck_alcotest.to_alcotest prop_search_deterministic;
+          QCheck_alcotest.to_alcotest prop_verdict_is_search;
+        ] );
+      ("verdict", [ Alcotest.test_case "allocation per search" `Quick test_verdict_allocation ]);
     ]
