@@ -3,7 +3,8 @@
 all:
 	dune build
 
-check: check-seeds
+# The local gate, as CI runs it: tests, seed sweep, reachability.
+check: check-seeds check-reach
 
 # The full test suite plus a seed sweep of the fault-injection
 # experiments: E21/E22, their fault-free anchor E19, the agreement

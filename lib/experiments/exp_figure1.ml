@@ -62,14 +62,11 @@ let render rng =
   let path = o.Tinygroups.Secure_route.group_path in
   if List.length path >= 3 then begin
     let mid = List.nth path (List.length path / 2) in
-    let groups =
-      Array.to_list
-        (Array.map (fun w -> (w, Tinygroups.Group_graph.group_of graph w)) leaders)
-    in
     let sabotaged =
       Tinygroups.Group_graph.assemble
         ~params:(Tinygroups.Group_graph.params graph)
-        ~population:pop ~overlay:(Tinygroups.Group_graph.overlay graph) ~groups
+        ~population:pop ~overlay:(Tinygroups.Group_graph.overlay graph)
+        ~groups:(Tinygroups.Group_graph.groups graph)
         ~confused:[ mid ] ()
     in
     Buffer.add_string buf

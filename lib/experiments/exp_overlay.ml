@@ -8,16 +8,11 @@ let overlays =
 (* E16 below rebuilds the same group graph over salted chord++ views,
    so retries walk different paths against identical group colors. *)
 let with_overlay g overlay =
-  let groups =
-    Array.to_list
-      (Array.map
-         (fun w -> (w, Tinygroups.Group_graph.group_of g w))
-         (Tinygroups.Group_graph.leaders g))
-  in
-  let confused = Tinygroups.Group_graph.confused_leaders g in
   Tinygroups.Group_graph.assemble
     ~params:(Tinygroups.Group_graph.params g)
-    ~population:(Tinygroups.Group_graph.population g) ~overlay ~groups ~confused ()
+    ~population:(Tinygroups.Group_graph.population g) ~overlay
+    ~groups:(Tinygroups.Group_graph.groups g)
+    ~confused:(Tinygroups.Group_graph.confused_leaders g) ()
 
 let run_e0 ?(jobs = 1) rng scale =
   let table =

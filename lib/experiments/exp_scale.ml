@@ -103,23 +103,23 @@ let rec fresh_point stream ring =
 
 let run_row stream n =
   let k = churn_k n in
-  (* The jobs gate needs two builds of the *same* population, so the
-     build stream is copied: jobs must be the only varying input. *)
-  let brng = Prng.Rng.split stream in
   let (pop, g1), build_j1_s =
-    time (fun () -> Common.build_tiny (Prng.Rng.copy brng) ~jobs:1 ~n ~beta ())
+    time (fun () -> Common.build_tiny (Prng.Rng.split stream) ~jobs:1 ~n ~beta ())
   in
-  let (_, g4), build_j4_s =
-    time (fun () -> Common.build_tiny (Prng.Rng.copy brng) ~jobs:4 ~n ~beta ())
-  in
+  let params = Tinygroups.Group_graph.params g1 in
+  let overlay = Tinygroups.Group_graph.overlay g1 in
   (* The jobs fan-out gate: at stress n the formation loop is split
      over domains, and any scheduling leak into the result would show
-     up in the structural comparison. *)
+     up in the structural comparison. g4 forms its groups over g1's
+     population and overlay, so jobs is the only varying input. *)
+  let g4, build_j4_s =
+    time (fun () ->
+        Tinygroups.Group_graph.build_direct ~jobs:4 ~params ~population:pop ~overlay
+          ~member_oracle:Common.h1 ())
+  in
   let jobs_match = Tinygroups.Group_graph.equal g1 g4 in
   let logn_g, logn_s =
     time (fun () ->
-        let params = { Tinygroups.Params.default with Tinygroups.Params.beta } in
-        let overlay = Tinygroups.Group_graph.overlay g1 in
         Baseline.Logn_groups.build ~params ~population:pop ~overlay
           ~member_oracle:Common.h1 ())
   in
@@ -275,7 +275,9 @@ let to_json r =
           "peak_rss_kb is the process-wide VmHWM sampled after the row completes \
            (monotone across rows; per-n attribution assumes --jobs 1, as make \
            bench-scale runs). heap_words_per_node counts all words reachable from \
-           the graph, including the ring/overlay shared between the two schemes." );
+           the graph, including the ring/overlay shared between the two schemes. \
+           build_jobs4_wall_s times build_direct ~jobs:4 over the jobs-1 build's \
+           population and overlay; tiny.build_wall_s also generates both." );
       ("rows", Report.List (List.map row_json r.rows));
     ]
 

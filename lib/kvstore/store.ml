@@ -14,10 +14,11 @@ type t = {
   oracle : Hashing.Oracle.t;
   graph : Tinygroups.Group_graph.t;
   records : (string, record) Hashtbl.t;
-  cache : (string, Point.t) Hashtbl.t option;
-      (* name -> home leader; valid for this [graph] only (the graph
+  cache : (string, Tinygroups.Group.t) Hashtbl.t option;
+      (* name -> home group; valid for this [graph] only (the graph
          is immutable within an epoch, so entries cannot go stale —
-         [rehome] starts a fresh store with an empty cache). *)
+         [rehome] starts a fresh store with an empty cache). A hit
+         needs no leader lookup. *)
   metrics : Sim.Metrics.t;
   epoch_index : int;
   mutable last : op_stats;
@@ -60,10 +61,12 @@ let ring t = Adversary.Population.ring (Tinygroups.Group_graph.population t.grap
 
 let home t name = Ring.successor_exn (ring t) (key_of t name)
 
+let home_group t name =
+  Tinygroups.Group_graph.group_at t.graph (Ring.successor_rank (ring t) (key_of t name))
+
 let version_of t name = Option.map (fun r -> r.version) (live t name)
 
-let replica_for t owner =
-  let grp = Tinygroups.Group_graph.group_of t.graph owner in
+let replica_for grp =
   let member_bad =
     Array.init (Tinygroups.Group.size grp) (fun i -> Tinygroups.Group.member_is_bad grp i)
   in
@@ -80,25 +83,30 @@ type write_result =
    skip the walk's red-group checks by design: the group itself still
    votes, so a lost majority surfaces at the operation layer. *)
 type routed =
-  | Route_ok of { owner : Point.t; messages : int; stats : op_stats }
+  | Route_ok of { home : Tinygroups.Group.t; messages : int; stats : op_stats }
   | Route_blocked of Point.t
 
 let route t ~client ~name ~key =
   match Option.map (fun c -> Hashtbl.find_opt c name) t.cache with
-  | Some (Some owner) ->
+  | Some (Some home) ->
       Sim.Metrics.incr t.metrics Sim.Metrics.kv_route_cache_hit;
-      let size = Tinygroups.Group.size (Tinygroups.Group_graph.group_of t.graph owner) in
-      Route_ok { owner; messages = size; stats = { hops = 1; route_cached = true } }
+      Route_ok
+        {
+          home;
+          messages = Tinygroups.Group.size home;
+          stats = { hops = 1; route_cached = true };
+        }
   | Some None | None -> (
       Sim.Metrics.incr t.metrics Sim.Metrics.kv_route_cache_miss;
       let v = Tinygroups.Secure_route.verdict t.graph ~failure:`Majority ~src:client ~key in
       let owner = v.Tinygroups.Secure_route.stop in
       if not v.Tinygroups.Secure_route.ok then Route_blocked owner
       else begin
-        Option.iter (fun c -> Hashtbl.replace c name owner) t.cache;
+        let home = Tinygroups.Group_graph.group_of t.graph owner in
+        Option.iter (fun c -> Hashtbl.replace c name home) t.cache;
         Route_ok
           {
-            owner;
+            home;
             messages = v.Tinygroups.Secure_route.messages;
             stats = { hops = v.Tinygroups.Secure_route.hops; route_cached = false };
           }
@@ -110,13 +118,13 @@ let write_value t ~client ~name ~value =
   | Route_blocked red ->
       t.last <- { hops = 0; route_cached = false };
       Write_blocked { red_group = red }
-  | Route_ok { owner; messages = route_msgs; stats } ->
+  | Route_ok { home; messages = route_msgs; stats } ->
       t.last <- stats;
       let record =
         match Hashtbl.find_opt t.records name with
         | Some r -> r
         | None ->
-            let r = { version = 0; value = tombstone; replica = replica_for t owner } in
+            let r = { version = 0; value = tombstone; replica = replica_for home } in
             Hashtbl.replace t.records name r;
             r
       in
@@ -166,13 +174,12 @@ let get_as t ~client ~name =
   | Route_blocked red ->
       t.last <- { hops = 0; route_cached = false };
       Read_blocked { red_group = red }
-  | Route_ok { owner; messages = route_msgs; stats } -> (
+  | Route_ok { home; messages = route_msgs; stats } -> (
       t.last <- stats;
       let base_msgs grp_size = route_msgs + grp_size in
       match Hashtbl.find_opt t.records name with
       | None ->
-          let size = Tinygroups.Group.size (Tinygroups.Group_graph.group_of t.graph owner) in
-          Not_found { messages = base_msgs size }
+          Not_found { messages = base_msgs (Tinygroups.Group.size home) }
       | Some record -> (
           let votes = Replica.read_votes record.replica ~truth_forge:"<forged>" in
           let size = Array.length votes in
@@ -188,9 +195,8 @@ let get_as t ~client ~name =
               (* No live majority. The home group syncs internally:
                  possible iff it retains a good majority and at least
                  one good member still holds the latest version. *)
-              let grp = Tinygroups.Group_graph.group_of t.graph owner in
               let survivors = Replica.good_fresh record.replica ~version:record.version in
-              if Tinygroups.Group.has_good_majority grp && survivors >= 1 then begin
+              if Tinygroups.Group.has_good_majority home && survivors >= 1 then begin
                 let repaired =
                   Replica.repair record.replica ~version:record.version ~value:record.value
                 in
@@ -222,14 +228,12 @@ let rehome t new_graph =
   in
   Hashtbl.iter
     (fun name record ->
-      let old_home = Ring.successor_exn (ring t) (key_of t name) in
-      let old_grp = Tinygroups.Group_graph.group_of t.graph old_home in
+      let old_grp = home_group t name in
       let survivors = Replica.good_fresh record.replica ~version:record.version in
       let transferable =
         Tinygroups.Group.has_good_majority old_grp && survivors >= 1
       in
-      let new_home = Ring.successor_exn (ring fresh) (key_of fresh name) in
-      let replica = replica_for fresh new_home in
+      let replica = replica_for (home_group fresh name) in
       if transferable then
         Replica.write replica ~version:record.version ~value:record.value;
       (* A non-transferable record keeps its name but every good

@@ -17,7 +17,7 @@
     Operations are issued through {!client} sessions ({!connect}),
     which pin the issuing identity once instead of threading it
     through every call. Routing goes through a per-epoch {e route
-    cache} (name → home leader): within an epoch the graph is
+    cache} (name → home group): within an epoch the graph is
     immutable, so a cached home can never go stale; {!rehome} starts
     the next epoch's store with an empty cache, which is the whole
     invalidation story. A cache hit replaces the multi-hop secure walk

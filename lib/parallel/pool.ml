@@ -117,3 +117,8 @@ let map t f items =
         (Array.map
            (function Some v -> v | None -> assert false)
            results)
+
+let map_slices ~jobs ~n f =
+  let k = max 1 (min jobs n) in
+  let slices = List.init k (fun i -> (i * n / k, (i + 1) * n / k)) in
+  with_pool ~jobs:k (fun t -> map t (fun (lo, hi) -> f lo hi) slices)

@@ -32,6 +32,17 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     may only be called from the domain that created the pool (it is
     not re-entrant). *)
 
+val map_slices : jobs:int -> n:int -> (int -> int -> 'a) -> 'a list
+(** [map_slices ~jobs ~n f] cuts [[0, n)] into [max 1 (min jobs n)]
+    contiguous ranges of near-equal length, fixed before any work is
+    scheduled, applies [f lo hi] to each range [[lo, hi)] on a fresh
+    pool of that many jobs, and returns the results in range order.
+    The ranges are non-empty when [n >= 1] and cover [[0, n)] in
+    ascending order. The rank-sliced builds (the group graph's
+    formation loop, the epoch transition) fan out through this: a
+    caller whose per-index work is a pure function of the index gets
+    the same result at every [jobs]. *)
+
 val shutdown : t -> unit
 (** Stop and join the workers. The pool must not be used afterwards.
     Idempotent. *)

@@ -56,10 +56,6 @@ let captured_by g ~id =
     ~neighbors:((Group_graph.overlay g).Overlay.Overlay_intf.neighbors_in ring)
     ring ~id
 
-let existing_groups g =
-  Array.to_list
-    (Array.map (fun w -> (w, Group_graph.group_of g w)) (Group_graph.leaders g))
-
 let no_cost = { searches = 0; messages = 0; affected_groups = 0; member_updates = 0 }
 
 let join_many rng metrics g ~old_pair ~member_oracle ~ids =
@@ -78,7 +74,7 @@ let join_many rng metrics g ~old_pair ~member_oracle ~ids =
     let overlay0 = Group_graph.overlay g in
     let before = Sim.Metrics.snapshot metrics in
     let searches = ref 0 and affected = ref 0 and member_updates = ref 0 in
-    let new_groups = ref [] and new_confused = ref [] in
+    let new_groups = Hashtbl.create (Hashtbl.length seen) and new_confused = ref [] in
     (* Each newcomer in batch order runs the join protocol against the
        ring holding the batch's earlier newcomers and itself:
 
@@ -118,7 +114,7 @@ let join_many rng metrics g ~old_pair ~member_oracle ~ids =
           captured;
         searches :=
           !searches + formed + (Membership.request_searches * List.length captured);
-        new_groups := (id, grp) :: !new_groups;
+        Hashtbl.replace new_groups id grp;
         affected := !affected + List.length captured;
         member_updates := !member_updates + Group.size grp)
       ids;
@@ -134,7 +130,18 @@ let join_many rng metrics g ~old_pair ~member_oracle ~ids =
     let confused =
       List.sort_uniq Point.compare (!new_confused @ Group_graph.confused_leaders g)
     in
-    let groups = !new_groups @ existing_groups g in
+    (* The old IDs keep their relative order on the new ring, so the
+       old groups fill the ranks no newcomer holds, in rank order. *)
+    let new_ring = Population.ring new_pop in
+    let old_rank = ref 0 in
+    let groups =
+      Array.init (Ring.cardinal new_ring) (fun r ->
+          match Hashtbl.find_opt new_groups (Ring.nth new_ring r) with
+          | Some grp -> grp
+          | None ->
+              incr old_rank;
+              Group_graph.group_at g (!old_rank - 1))
+    in
     let g' =
       Group_graph.assemble ~params ~population:new_pop ~overlay:new_overlay ~groups
         ~confused ()
@@ -191,8 +198,8 @@ let depart_many g ~ids =
     (* Replay the membership drops exactly as the fold of one-ID
        batches would: the drop for the j-th departure classifies
        against n_hint = n - j - 1, and departed leaders leave the
-       (ascending) group list in place, so the assembled graph is
-       identical to the fold's — including its iteration order.
+       surviving groups in place, so the assembled graph is
+       identical to the fold's — including its rank order.
 
        One pass over the groups instead of one pass per departure:
        groups are independent under drops (each drop touches only the
@@ -207,36 +214,33 @@ let depart_many g ~ids =
        dominant cost of a stress-tier churn batch) with O(n*|G|). *)
     let member_updates = ref 0 in
     let n0 = Population.n pop in
+    let drop_departed grp =
+      let hits = ref [] in
+      Array.iter
+        (fun m ->
+          match Hashtbl.find_opt seen m with
+          | Some j -> hits := (j, m) :: !hits
+          | None -> ())
+        grp.Group.members;
+      List.fold_left
+        (fun grp (j, m) ->
+          incr member_updates;
+          match Group.drop_member params ~n_hint:(n0 - j - 1) grp m with
+          | Some grp' -> grp'
+          | None -> grp)
+        grp
+        (List.sort (fun (a, _) (b, _) -> Int.compare a b) !hits)
+    in
+    (* The survivors keep their relative order on the new ring: rank
+       r of the new ring is the r-th old rank whose leader stays. *)
+    let old_rank = ref 0 in
     let groups =
-      List.filter_map
-        (fun (w, grp) ->
-          if Hashtbl.mem seen w then None
-          else begin
-            let hits = ref [] in
-            Array.iter
-              (fun m ->
-                match Hashtbl.find_opt seen m with
-                | Some j -> hits := (j, m) :: !hits
-                | None -> ())
-              grp.Group.members;
-            match !hits with
-            | [] -> Some (w, grp)
-            | hits ->
-                let hits =
-                  List.sort (fun (a, _) (b, _) -> Int.compare a b) hits
-                in
-                let grp =
-                  List.fold_left
-                    (fun grp (j, m) ->
-                      incr member_updates;
-                      match Group.drop_member params ~n_hint:(n0 - j - 1) grp m with
-                      | Some grp' -> grp'
-                      | None -> grp)
-                    grp hits
-                in
-                Some (w, grp)
-          end)
-        (existing_groups g)
+      Array.init (Population.n new_pop) (fun _ ->
+          while Hashtbl.mem seen (Ring.nth ring0 !old_rank) do
+            incr old_rank
+          done;
+          incr old_rank;
+          drop_departed (Group_graph.group_at g (!old_rank - 1)))
     in
     let confused =
       List.filter

@@ -237,12 +237,11 @@ let build_next t ~old ~new_pop ~new_overlay ~member_oracle ~phase =
   ignore (Group_graph.blue_leaders Membership.(old.g1));
   Option.iter (fun g -> ignore (Group_graph.blue_leaders g)) Membership.(old.g2);
   let tracker_active = Reliability.Tracker.active t.rel in
-  let run_slice (lo, hi) =
+  let run_slice lo hi =
     let metrics = Sim.Metrics.create () in
     let conds = Sim.Conditions.fork t.conds ~metrics in
     let confused = Sim.Series.create () and suspect = Sim.Series.create () in
-    let groups = ref [] in
-    for rank = lo to hi - 1 do
+    let form rank =
       let w = Ring.nth new_ring rank in
       let leader_key = Prng.Rng.subkey phase_base (Int64.of_int rank) in
       Sim.Conditions.reseed conds ~key:leader_key;
@@ -251,7 +250,6 @@ let build_next t ~old ~new_pop ~new_overlay ~member_oracle ~phase =
           old ~now:t.epoch_ ~params ~member_oracle ~ring:new_ring ~leader:w
           ~neighbors:(new_overlay.Overlay.Overlay_intf.neighbors w)
       in
-      groups := (w, grp) :: !groups;
       (* Any failed link establishment leaves the group confused
          (Lemma 8) — unless a reliability layer is armed, in which
          case a group that exhausted its retry budget {e knows} the
@@ -260,31 +258,24 @@ let build_next t ~old ~new_pop ~new_overlay ~member_oracle ~phase =
          the red set. *)
       if not linked then
         if tracker_active then Sim.Series.push suspect w
-        else Sim.Series.push confused w
-    done;
-    (!groups, confused, suspect, conds, metrics)
+        else Sim.Series.push confused w;
+      grp
+    in
+    (* [Array.init] forms the slice's groups in rank order. *)
+    let groups = Array.init (hi - lo) (fun i -> form (lo + i)) in
+    (groups, confused, suspect, conds, metrics)
   in
-  let jobs = max 1 (min t.config.build_jobs n) in
-  let chunk = (n + jobs - 1) / jobs in
-  let slices = List.init jobs (fun i -> (i * chunk, min n ((i + 1) * chunk))) in
-  let pieces =
-    if jobs = 1 then List.map run_slice slices
-    else
-      Parallel.Pool.with_pool ~jobs (fun pool ->
-          Parallel.Pool.map pool run_slice slices)
-  in
-  let groups = ref [] in
+  let pieces = Parallel.Pool.map_slices ~jobs:t.config.build_jobs ~n run_slice in
   let confused = Sim.Series.create () and suspect = Sim.Series.create () in
   List.iter
-    (fun (gs, conf, susp, conds, metrics) ->
-      groups := List.rev_append gs !groups;
+    (fun (_, conf, susp, conds, metrics) ->
       Sim.Series.append confused conf;
       Sim.Series.append suspect susp;
       Sim.Conditions.merge ~into:t.conds conds;
       Sim.Metrics.merge t.metrics_ metrics)
     pieces;
   Group_graph.assemble ~params ~population:new_pop ~overlay:new_overlay
-    ~groups:!groups
+    ~groups:(Array.concat (List.map (fun (groups, _, _, _, _) -> groups) pieces))
     ~confused:(Sim.Series.to_list confused)
     ~suspect:(Sim.Series.to_list suspect) ()
 

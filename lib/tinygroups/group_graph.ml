@@ -5,18 +5,13 @@ type color = Blue | Red
 
 (* Flat representation, aligned to the population's sorted ring: the
    group led by the ID of rank [r] lives at [group_by_rank.(r)], and
-   confused/suspect are rank-indexed bitmaps. Leader lookup goes
-   through a linear-probing open-addressing table over the leaders'
-   int values (load factor <= 1/2), so [group_of] is a couple of
-   int-array probes. *)
+   confused/suspect are rank-indexed bitmaps. A leader's rank is the
+   ring's own binary search, so the graph keeps no second index. *)
 type t = {
   params : Params.t;
   population : Population.t;
   overlay : Overlay.Overlay_intf.t;
   ring : Ring.t;  (* = Population.ring population, the rank space *)
-  slot_key : int array;  (* open addressing; -1 = empty *)
-  slot_rank : int array;
-  slot_mask : int;
   group_by_rank : Group.t array;
   confused_bits : Bytes.t;
   suspect_bits : Bytes.t;
@@ -37,46 +32,6 @@ let bit_set b i =
   Bytes.unsafe_set b (i lsr 3)
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get b (i lsr 3)) lor (1 lsl (i land 7))))
 
-(* -- leader -> rank table ------------------------------------------ *)
-
-let table_capacity n =
-  let c = ref 16 in
-  while !c < 2 * n do
-    c := !c * 2
-  done;
-  !c
-
-let make_slots ring =
-  let n = Ring.cardinal ring in
-  let cap = table_capacity n in
-  let mask = cap - 1 in
-  let slot_key = Array.make cap (-1) in
-  let slot_rank = Array.make cap 0 in
-  for r = 0 to n - 1 do
-    let k = (Ring.nth ring r :> int) in
-    let i = ref (k land mask) in
-    while slot_key.(!i) >= 0 do
-      i := (!i + 1) land mask
-    done;
-    slot_key.(!i) <- k;
-    slot_rank.(!i) <- r
-  done;
-  (slot_key, slot_rank, mask)
-
-(* Rank of a leader, or -1 when the point leads no group. *)
-let rank_of t p =
-  let k = (p : Point.t :> int) in
-  let mask = t.slot_mask in
-  let i = ref (k land mask) in
-  let rank = ref (-2) in
-  while !rank = -2 do
-    let sk = Array.unsafe_get t.slot_key !i in
-    if sk = k then rank := Array.unsafe_get t.slot_rank !i
-    else if sk < 0 then rank := -1
-    else i := (!i + 1) land mask
-  done;
-  !rank
-
 (* -- construction -------------------------------------------------- *)
 
 (* Searches walk the overlay's ranks and read the groups at those
@@ -86,7 +41,6 @@ let make ~params ~population ~overlay ~group_by_rank ~confused ~suspect =
   if not (Ring.equal overlay.Overlay.Overlay_intf.ring ring) then
     invalid_arg "Group_graph: overlay ring is not the population's ring";
   let n = Ring.cardinal ring in
-  let slot_key, slot_rank, slot_mask = make_slots ring in
   let confused_bits = bitmap n and suspect_bits = bitmap n in
   let mark bits what p =
     let r = Ring.rank ring p in
@@ -100,9 +54,6 @@ let make ~params ~population ~overlay ~group_by_rank ~confused ~suspect =
     population;
     overlay;
     ring;
-    slot_key;
-    slot_rank;
-    slot_mask;
     group_by_rank;
     confused_bits;
     suspect_bits;
@@ -122,9 +73,7 @@ module Builder = struct
     { params; population; member_oracle; ring = Population.ring population; scratch = Array.make 64 0 }
 
   (* Fill [scratch] with the ranks of [suc(oracle(w, i))] for
-     [i = 1 .. draws], in draw order; returns [draws]. This is the
-     one member-draw code path — build, benches and the join protocol
-     estimate all route through it. *)
+     [i = 1 .. draws], in draw order; returns [draws]. *)
   let draw_ranks b w =
     let ln_ln_estimate = Estimate.ln_ln_n b.ring w in
     let draws = Params.member_draws_estimated b.params ~ln_ln_estimate in
@@ -135,10 +84,6 @@ module Builder = struct
       b.scratch.(i - 1) <- Ring.successor_rank b.ring u
     done;
     draws
-
-  let draw_members b w =
-    let draws = draw_ranks b w in
-    List.init draws (fun i -> Ring.nth b.ring b.scratch.(i))
 
   let form_group b w =
     let draws = draw_ranks b w in
@@ -168,63 +113,32 @@ module Builder = struct
     end
 end
 
-let draw_members ~params ~population ~member_oracle w =
-  Builder.draw_members (Builder.create ~params ~population ~member_oracle) w
-
 let build_direct ?(jobs = 1) ~params ~population ~overlay ~member_oracle () =
   let ring = Population.ring population in
   let n = Ring.cardinal ring in
   if n < 3 then invalid_arg "Group_graph.build_direct: population too small";
-  let jobs = max 1 (min jobs n) in
+  (* Every group is a pure function of (ring, oracle, rank), so the
+     rank slices are independent: each gets its own builder (the
+     scratch buffer is the only mutable state) and the slices are
+     concatenated in rank order, byte-identical at every [jobs]. *)
   let group_by_rank =
-    if jobs = 1 then begin
-      let b = Builder.create ~params ~population ~member_oracle in
-      Array.init n (fun rank -> Builder.form_group b (Ring.nth ring rank))
-    end
-    else begin
-      (* Deterministic rank-split: every group is a pure function of
-         (ring, oracle, rank), so slicing [0, n) into [jobs]
-         contiguous rank ranges — fixed before any work is scheduled
-         — makes the fan-out trivially schedule-independent. Each
-         slice gets its own builder (the scratch buffer is the only
-         mutable state) and the slices are concatenated in rank
-         order, so the result is byte-identical at every [jobs]. *)
-      let chunk = (n + jobs - 1) / jobs in
-      let slices =
-        List.init jobs (fun i -> (i * chunk, min n ((i + 1) * chunk)))
-      in
-      let pieces =
-        Parallel.Pool.with_pool ~jobs (fun pool ->
-            Parallel.Pool.map pool
-              (fun (lo, hi) ->
-                let b = Builder.create ~params ~population ~member_oracle in
-                Array.init (hi - lo) (fun i ->
-                    Builder.form_group b (Ring.nth ring (lo + i))))
-              slices)
-      in
-      Array.concat pieces
-    end
+    Array.concat
+      (Parallel.Pool.map_slices ~jobs ~n (fun lo hi ->
+           let b = Builder.create ~params ~population ~member_oracle in
+           Array.init (hi - lo) (fun i -> Builder.form_group b (Ring.nth ring (lo + i)))))
   in
   make ~params ~population ~overlay ~group_by_rank ~confused:[] ~suspect:[]
 
 let assemble ~params ~population ~overlay ~groups ~confused ?(suspect = []) () =
   let ring = Population.ring population in
-  let n = Ring.cardinal ring in
-  let slots = Array.make n None in
-  let count = ref 0 in
-  List.iter
-    (fun (leader, g) ->
-      let r = Ring.rank ring leader in
-      if r < 0 then invalid_arg "Group_graph.assemble: leader not in population";
-      if slots.(r) <> None then invalid_arg "Group_graph.assemble: duplicate leader";
-      slots.(r) <- Some g;
-      incr count)
+  if Array.length groups <> Ring.cardinal ring then
+    invalid_arg "Group_graph.assemble: one group per ID expected";
+  Array.iteri
+    (fun r g ->
+      if not (Point.equal g.Group.leader (Ring.nth ring r)) then
+        invalid_arg "Group_graph.assemble: groups not in ring-rank order")
     groups;
-  if !count <> n then invalid_arg "Group_graph.assemble: missing groups";
-  let group_by_rank =
-    Array.map (function Some g -> g | None -> assert false) slots
-  in
-  make ~params ~population ~overlay ~group_by_rank ~confused ~suspect
+  make ~params ~population ~overlay ~group_by_rank:groups ~confused ~suspect
 
 (* -- structural equality ------------------------------------------- *)
 
@@ -270,18 +184,14 @@ let hijacked_at t r =
   g.Group.health = Group.Hijacked || bit_get t.confused_bits r
 
 let leader_rank t p =
-  let r = rank_of t p in
+  let r = Ring.rank t.ring p in
   if r < 0 then raise Not_found;
   r
 
 let group_of t p = Array.unsafe_get t.group_by_rank (leader_rank t p)
 
-let is_confused t p =
-  let r = rank_of t p in
-  r >= 0 && bit_get t.confused_bits r
-
 let is_suspect t p =
-  let r = rank_of t p in
+  let r = Ring.rank t.ring p in
   r >= 0 && bit_get t.suspect_bits r
 
 let color_of t p = if red_at t (leader_rank t p) then Red else Blue
@@ -289,13 +199,13 @@ let color_of t p = if red_at t (leader_rank t p) then Red else Blue
 let hijacked t p = hijacked_at t (leader_rank t p)
 
 let mark_confused t p =
-  let r = rank_of t p in
+  let r = Ring.rank t.ring p in
   if r < 0 then invalid_arg "Group_graph.mark_confused: not a leader";
   bit_set t.confused_bits r;
   t.blue_cache <- None
 
 let mark_suspect t p =
-  let r = rank_of t p in
+  let r = Ring.rank t.ring p in
   if r < 0 then invalid_arg "Group_graph.mark_suspect: not a leader";
   bit_set t.suspect_bits r;
   t.blue_cache <- None
@@ -303,6 +213,8 @@ let mark_suspect t p =
 let leaders t = Ring.to_sorted_array t.ring
 
 let n_groups t = Array.length t.group_by_rank
+
+let groups t = Array.copy t.group_by_rank
 
 let confused_leaders t =
   let acc = ref [] in

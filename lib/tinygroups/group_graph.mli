@@ -8,9 +8,10 @@
     otherwise (S1–S3). The adversary owns every red group.
 
     Representation: the graph is flat and aligned to the population's
-    sorted ring — a [Group.t array] indexed by ring rank, rank-indexed
-    confused/suspect bitmaps, and a linear-probing open-addressing
-    table over the leaders' int values for leader lookup.
+    sorted ring — a [Group.t array] indexed by ring rank and
+    rank-indexed confused/suspect bitmaps. Point-keyed queries find a
+    leader's rank with the ring's own binary search ({!Idspace.Ring.rank}),
+    so the ring is the graph's only index.
 
     Two constructors exist:
     - {!build_direct} wires members straight from the hash oracle and
@@ -35,9 +36,8 @@ val overlay : t -> Overlay.Overlay_intf.t
 (** Incremental group formation sharing one scratch buffer across
     groups: member draws land as successor {e ranks} in a reusable
     int array, are sorted and deduplicated in place, and only the
-    final member array is allocated. {!build_direct}, the benches and
-    the join protocol's draw estimate all route through this — there
-    is exactly one member-draw code path. *)
+    final member array is allocated. {!build_direct} and the benches
+    form their groups through this. *)
 module Builder : sig
   type b
 
@@ -47,22 +47,8 @@ module Builder : sig
     member_oracle:Hashing.Oracle.t ->
     b
 
-  val draw_members : b -> Point.t -> Point.t list
-  (** The successors of [oracle(w, i)], [i = 1 .. draws], in draw
-      order (duplicates included), where [draws] comes from [w]'s
-      decentralised [ln ln n] estimate — exactly the multiset
-      {!form_group} builds its member set from. *)
-
   val form_group : b -> Point.t -> Group.t
 end
-
-val draw_members :
-  params:Params.t ->
-  population:Population.t ->
-  member_oracle:Hashing.Oracle.t ->
-  Point.t ->
-  Point.t list
-(** One-shot {!Builder.draw_members} for callers without a builder. *)
 
 val build_direct :
   ?jobs:int ->
@@ -78,26 +64,31 @@ val build_direct :
     over [population]'s ring: [Invalid_argument] otherwise.
 
     [?jobs] (default 1) fans the formation loop over that many
-    domains of a {!Parallel.Pool} with a deterministic rank-split:
-    the rank space is cut into [jobs] contiguous slices fixed before
-    any work is scheduled, each slice runs its own {!Builder}, and
-    the slices are concatenated in rank order. Every group is a pure
-    function of (ring, oracle, rank), so the result is byte-identical
-    at every [jobs] — pinned by a test at jobs [1] vs [4]. *)
+    domains with {!Parallel.Pool.map_slices}: the rank space is cut
+    into contiguous slices fixed before any work is scheduled, each
+    slice runs its own {!Builder}, and the slices are concatenated in
+    rank order. Every group is a pure function of (ring, oracle,
+    rank), so the result is byte-identical at every [jobs] — pinned
+    by a test at jobs [1] vs [4]. *)
 
 val assemble :
   params:Params.t ->
   population:Population.t ->
   overlay:Overlay.Overlay_intf.t ->
-  groups:(Point.t * Group.t) list ->
+  groups:Group.t array ->
   confused:Point.t list ->
   ?suspect:Point.t list ->
   unit ->
   t
-(** Wrap externally constructed groups (epoch protocol). [groups]
-    must contain exactly one entry per ID of the population.
+(** Wrap externally constructed groups (epoch protocol, churn).
+    [groups] is in ring-rank order: one group per ID of the
+    population, [groups.(r)] led by the ID of rank [r]; the graph
+    takes the array over, so the caller must not mutate it afterwards.
     [?suspect] (default none) lists leaders whose links the
-    reliability layer gave up on — degraded, not poisoned. *)
+    reliability layer gave up on — degraded, not poisoned.
+    @raise Invalid_argument if [groups] has the wrong length or a
+    group sits at another leader's rank, or if a confused or suspect
+    point is not an ID of the population. *)
 
 val equal : t -> t -> bool
 (** Structural equality: same leaders in rank order, identical member
@@ -108,7 +99,8 @@ val equal : t -> t -> bool
     overlay identity are {e not} compared. *)
 
 val group_of : t -> Point.t -> Group.t
-(** @raise Not_found for a point that is not a leader. *)
+(** The group the point leads, found by the leader's ring rank.
+    @raise Not_found for a point that is not a leader. *)
 
 (** {2 Rank access}
 
@@ -130,8 +122,6 @@ val hijacked_at : t -> int -> bool
 val color_of : t -> Point.t -> color
 (** Red iff the group is not {!Group.Good} or its leader is
     confused — the conservative classification of §II. *)
-
-val is_confused : t -> Point.t -> bool
 
 val is_suspect : t -> Point.t -> bool
 (** Suspect routes degrade the group without making it red; see
@@ -155,6 +145,10 @@ val leaders : t -> Point.t array
 (** All leaders, i.e. the population's IDs. *)
 
 val n_groups : t -> int
+
+val groups : t -> Group.t array
+(** A copy of the groups in ring-rank order: [(groups t).(r)] is
+    {!group_at}[ t r] — the array {!assemble} takes. *)
 
 val confused_leaders : t -> Point.t list
 (** The confused leaders, ascending by ring position. *)

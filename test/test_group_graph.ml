@@ -162,13 +162,10 @@ let test_confusion_makes_red () =
   let pop, g = make ~n:64 ~beta:0.0 () in
   let leaders = Tinygroups.Group_graph.leaders g in
   let confused_leader = leaders.(5) in
-  let groups =
-    Array.to_list
-      (Array.map (fun w -> (w, Tinygroups.Group_graph.group_of g w)) leaders)
-  in
   let g2 =
     Tinygroups.Group_graph.assemble ~params ~population:pop
-      ~overlay:(Tinygroups.Group_graph.overlay g) ~groups ~confused:[ confused_leader ] ()
+      ~overlay:(Tinygroups.Group_graph.overlay g) ~groups:(Tinygroups.Group_graph.groups g)
+      ~confused:[ confused_leader ] ()
   in
   Alcotest.(check bool) "confused leader is red" true
     (Tinygroups.Group_graph.color_of g2 confused_leader = Tinygroups.Group_graph.Red);
@@ -212,25 +209,28 @@ let test_mark_confused_invalidates_blue_cache () =
 
 let test_assemble_validations () =
   let pop, g = make ~n:32 ~beta:0.0 () in
-  let leaders = Tinygroups.Group_graph.leaders g in
-  let all_groups =
-    Array.to_list (Array.map (fun w -> (w, Tinygroups.Group_graph.group_of g w)) leaders)
+  let all_groups = Tinygroups.Group_graph.groups g in
+  let n = Array.length all_groups in
+  let assemble groups =
+    ignore
+      (Tinygroups.Group_graph.assemble ~params ~population:pop
+         ~overlay:(Tinygroups.Group_graph.overlay g) ~groups ~confused:[] ())
   in
-  (* Missing a group. *)
-  Alcotest.check_raises "missing groups"
-    (Invalid_argument "Group_graph.assemble: missing groups") (fun () ->
-      ignore
-        (Tinygroups.Group_graph.assemble ~params ~population:pop
-           ~overlay:(Tinygroups.Group_graph.overlay g) ~groups:(List.tl all_groups)
-           ~confused:[] ()));
-  (* Duplicate leader. *)
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Group_graph.assemble: duplicate leader") (fun () ->
-      ignore
-        (Tinygroups.Group_graph.assemble ~params ~population:pop
-           ~overlay:(Tinygroups.Group_graph.overlay g)
-           ~groups:(List.hd all_groups :: all_groups)
-           ~confused:[] ()))
+  (* One group short. *)
+  Alcotest.check_raises "short array"
+    (Invalid_argument "Group_graph.assemble: one group per ID expected") (fun () ->
+      assemble (Array.sub all_groups 1 (n - 1)));
+  (* The right groups, rotated by one rank: every leader is present
+     exactly once, but none sits at its own rank. *)
+  Alcotest.check_raises "rank-shifted array"
+    (Invalid_argument "Group_graph.assemble: groups not in ring-rank order") (fun () ->
+      assemble (Array.init n (fun r -> all_groups.((r + 1) mod n))));
+  (* [groups] is a copy in rank order: assembling it back gives the
+     same graph. *)
+  Alcotest.(check bool) "groups round-trips" true
+    (Tinygroups.Group_graph.equal g
+       (Tinygroups.Group_graph.assemble ~params ~population:pop
+          ~overlay:(Tinygroups.Group_graph.overlay g) ~groups:all_groups ~confused:[] ()))
 
 (* Searches read the group at each rank the overlay's walk produces,
    so a view over another ring would route through the wrong groups
@@ -245,12 +245,7 @@ let test_overlay_ring_must_match () =
       ignore
         (Tinygroups.Group_graph.build_direct ~params ~population:pop ~overlay:other
            ~member_oracle:oracle ()));
-  let groups =
-    Array.to_list
-      (Array.map
-         (fun w -> (w, Tinygroups.Group_graph.group_of g w))
-         (Tinygroups.Group_graph.leaders g))
-  in
+  let groups = Tinygroups.Group_graph.groups g in
   Alcotest.check_raises "assemble" want (fun () ->
       ignore
         (Tinygroups.Group_graph.assemble ~params ~population:pop ~overlay:other ~groups
@@ -297,7 +292,21 @@ let test_parallel_build_identical () =
   Alcotest.(check bool) "identical groups at jobs 1 vs 4" true
     (collect g1 = collect g4);
   Alcotest.(check bool) "identical census" true
-    (Tinygroups.Group_graph.census g1 = Tinygroups.Group_graph.census g4)
+    (Tinygroups.Group_graph.census g1 = Tinygroups.Group_graph.census g4);
+  (* Four slices over five ranks: every rank must land in exactly
+     one slice. *)
+  let small =
+    (* Own stream: the shared [rng] feeds the tests after this one. *)
+    Adversary.Population.generate (Prng.Rng.create 5) ~n:5 ~beta:0.
+      ~strategy:Adversary.Placement.Uniform
+  in
+  let overlay = Overlay.Chord.make (Adversary.Population.ring small) in
+  let build jobs =
+    Tinygroups.Group_graph.build_direct ~jobs ~params ~population:small ~overlay
+      ~member_oracle:oracle ()
+  in
+  Alcotest.(check bool) "n = 5 at jobs 4 = jobs 1" true
+    (Tinygroups.Group_graph.equal (build 1) (build 4))
 
 let prop_iter_order_is_ring_order =
   QCheck.Test.make ~name:"iter_groups visits leaders in ring order" ~count:10
@@ -314,6 +323,49 @@ let prop_iter_order_is_ring_order =
       let visited = ref [] in
       Tinygroups.Group_graph.iter_groups (fun w _ -> visited := w :: !visited) g;
       Array.of_list (List.rev !visited) = Tinygroups.Group_graph.leaders g)
+
+(* Point-keyed queries find the leader's rank through the ring; they
+   must agree with the rank accessors on every leader and refuse every
+   point that leads no group. *)
+let prop_point_queries_match_ranks =
+  QCheck.Test.make ~name:"point queries = rank queries; non-leaders refused"
+    ~count:30
+    QCheck.(pair small_int (int_range 3 200))
+    (fun (seed, n) ->
+      let module G = Tinygroups.Group_graph in
+      let r = Prng.Rng.create seed in
+      let pop =
+        Adversary.Population.generate (Prng.Rng.split r) ~n ~beta:0.25
+          ~strategy:Adversary.Placement.Uniform
+      in
+      let ring = Adversary.Population.ring pop in
+      let overlay = Overlay.Chord.make ring in
+      let g = G.build_direct ~params ~population:pop ~overlay ~member_oracle:oracle () in
+      for _ = 1 to 3 do
+        G.mark_confused g (Ring.nth ring (Prng.Rng.int r n))
+      done;
+      let leader_ok p =
+        let rank = Ring.rank ring p in
+        G.group_of g p == G.group_at g rank
+        && (G.color_of g p = G.Red) = G.red_at g rank
+        && G.hijacked g p = G.hijacked_at g rank
+      in
+      let raises exn f = match f () with _ -> false | exception e -> e = exn in
+      let off_ring_ok p =
+        raises Not_found (fun () -> G.group_of g p)
+        && raises Not_found (fun () -> G.color_of g p)
+        && raises Not_found (fun () -> G.hijacked g p)
+        && raises (Invalid_argument "Group_graph.mark_confused: not a leader") (fun () ->
+               G.mark_confused g p)
+        && raises (Invalid_argument "Group_graph.mark_suspect: not a leader") (fun () ->
+               G.mark_suspect g p)
+      in
+      let rec off_ring () =
+        let p = Point.random r in
+        if Ring.mem p ring then off_ring () else p
+      in
+      Array.for_all leader_ok (G.leaders g)
+      && List.for_all off_ring_ok (List.init 20 (fun _ -> off_ring ())))
 
 let prop_determinism =
   QCheck.Test.make ~name:"construction is deterministic in the population" ~count:10
@@ -369,5 +421,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_determinism;
           QCheck_alcotest.to_alcotest prop_iter_order_is_ring_order;
+          QCheck_alcotest.to_alcotest prop_point_queries_match_ranks;
         ] );
     ]

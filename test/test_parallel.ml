@@ -45,6 +45,29 @@ let test_pool_reuse_after_exception_same_pool () =
         "same pool, next batch" [ 10 ]
         (Parallel.Pool.map pool (fun x -> 10 * x) [ 1 ]))
 
+(* The rank-slice fan-out: ranges are contiguous, non-empty, and
+   cover [0, n) in order, one per job up to n. *)
+let test_map_slices_cover () =
+  List.iter
+    (fun (jobs, n) ->
+      let ranges = Parallel.Pool.map_slices ~jobs ~n (fun lo hi -> (lo, hi)) in
+      let what = Printf.sprintf "jobs %d, n %d" jobs n in
+      Alcotest.(check int) (what ^ ": range count") (max 1 (min jobs n)) (List.length ranges);
+      let next =
+        List.fold_left
+          (fun expected (lo, hi) ->
+            Alcotest.(check int) (what ^ ": contiguous") expected lo;
+            Alcotest.(check bool) (what ^ ": non-empty") true (hi > lo || n = 0);
+            hi)
+          0 ranges
+      in
+      Alcotest.(check int) (what ^ ": covers [0, n)") n next)
+    [ (1, 10); (1, 0); (2, 10); (3, 10); (4, 5); (4, 9); (8, 3); (5, 1); (4, 0); (3, 1024) ];
+  Alcotest.(check (list (list int)))
+    "results in range order"
+    [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6; 7; 8 ] ]
+    (Parallel.Pool.map_slices ~jobs:3 ~n:9 (fun lo hi -> List.init (hi - lo) (( + ) lo)))
+
 let test_fanout_streams_deterministic () =
   let draws rng = List.init 3 (fun _ -> Prng.Rng.int rng 1_000_000) in
   let a = Parallel.Fanout.streams (Prng.Rng.create 42) 5 in
@@ -147,6 +170,8 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
           Alcotest.test_case "reuse after exception" `Quick
             test_pool_reuse_after_exception_same_pool;
+          Alcotest.test_case "map_slices covers [0, n) in order" `Quick
+            test_map_slices_cover;
         ] );
       ( "fanout",
         [

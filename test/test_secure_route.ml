@@ -62,12 +62,9 @@ let test_failure_truncates_at_first_red () =
   in
   let key, path = find_key () in
   let mid = List.nth path (List.length path / 2) in
-  let groups =
-    Array.to_list (Array.map (fun w -> (w, Tinygroups.Group_graph.group_of g w)) leaders)
-  in
   let g2 =
-    Tinygroups.Group_graph.assemble ~params ~population:pop ~overlay ~groups
-      ~confused:[ mid ] ()
+    Tinygroups.Group_graph.assemble ~params ~population:pop ~overlay
+      ~groups:(Tinygroups.Group_graph.groups g) ~confused:[ mid ] ()
   in
   let o = Tinygroups.Secure_route.search g2 ~failure:`Majority ~src ~key in
   (match o.Tinygroups.Secure_route.result with
