@@ -1,4 +1,4 @@
-.PHONY: all check check-seeds check-reach test perf bench bench-quick bench-serve bench-scale bench-epoch bench-epoch-quick bench-pow bench-pow-quick regen-goldens fmt clean
+.PHONY: all check check-seeds check-reach test perf bench bench-quick bench-timings bench-serve bench-scale bench-epoch bench-epoch-quick bench-pow bench-pow-quick regen-goldens fmt clean
 
 all:
 	dune build
@@ -67,6 +67,12 @@ bench:
 
 bench-quick:
 	dune exec bench/main.exe -- --scale quick --jobs 2 --skip-timings
+
+# The Bechamel rows B0-B11 alone (ns/run and minor-heap words/run of
+# secure search, group formation, PoW attempt, ring queries, ...).
+# Budget ~10 s.
+bench-timings:
+	dune exec bench/main.exe -- --only timings --scale quick
 
 # The closed-loop serving tier (E23) at quick scale, seed 1, jobs 1;
 # rewrites the committed BENCH_serve.json artifact.

@@ -2,7 +2,7 @@ type digest = string
 
 (* The implementation works on native ints masked to 32 bits: on
    64-bit platforms every word of the schedule and the chaining state
-   fits untagged in an [int], so [compress] allocates nothing — the
+   fits untagged in an [int], so [compress_words] allocates nothing — the
    boxed [Int32] formulation it replaces allocated a box per
    intermediate, which dominated the oracle-heavy hot paths. *)
 
@@ -27,7 +27,7 @@ type ctx = {
   h : int array; (* 8 chaining words, each in [0, 2^32) *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
-  mutable total : int64; (* bytes absorbed *)
+  mutable total : int; (* bytes absorbed *)
   w : int array; (* 64-entry message schedule, reused across blocks *)
 }
 
@@ -36,9 +36,91 @@ let iv =
      0x1f83d9ab; 0x5be0cd19 |]
 
 let init () =
-  { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0L; w = Array.make 64 0 }
+  { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0; w = Array.make 64 0 }
 
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
+(* A word [x < 2^32] is rotated by shifting its doubling
+   [x lor (x lsl 32)]: bits [n .. n+31] of it are [x] rotated right
+   by [n], for [n <= 31] (a 63-bit [int] keeps bits 0..30 of the upper
+   copy). That leaves garbage above bit 31. Every stored word is
+   masked to 32 bits, and the low 32 bits of a sum do not depend on
+   the high bits of its terms, so one mask per stored word suffices. *)
+let[@inline] double x = x lor (x lsl 32)
+
+let[@inline] sigma0 x =
+  let x2 = double x in
+  (x2 lsr 7) lxor (x2 lsr 18) lxor (x lsr 3)
+
+let[@inline] sigma1 x =
+  let x2 = double x in
+  (x2 lsr 17) lxor (x2 lsr 19) lxor (x lsr 10)
+
+let[@inline] big_sigma0 a =
+  let a2 = double a in
+  (a2 lsr 2) lxor (a2 lsr 13) lxor (a2 lsr 22)
+
+let[@inline] big_sigma1 e =
+  let e2 = double e in
+  (e2 lsr 6) lxor (e2 lsr 11) lxor (e2 lsr 25)
+
+let[@inline] ch e f g = g lxor (e land (f lxor g))
+let[@inline] maj a b c = a land b lor (c land (a lor b))
+let[@inline] kw w t = Array.unsafe_get k t + Array.unsafe_get w t
+
+(* One compression of the 16-word block [w.(0..15)] into the chaining
+   state [h], in place. The schedule [w.(16..63)] is built in place
+   too; [w.(0..15)] is left as it was. The 64 rounds run 8 at a time
+   with the roles of a..h rotated, so each round stores only the two
+   words it changes (d and h of the textbook round). *)
+let compress_words h w =
+  for t = 16 to 63 do
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16)
+       + sigma0 (Array.unsafe_get w (t - 15))
+       + Array.unsafe_get w (t - 7)
+       + sigma1 (Array.unsafe_get w (t - 2)))
+      land m32)
+  done;
+  let a = ref (Array.unsafe_get h 0) and b = ref (Array.unsafe_get h 1) in
+  let c = ref (Array.unsafe_get h 2) and d = ref (Array.unsafe_get h 3) in
+  let e = ref (Array.unsafe_get h 4) and f = ref (Array.unsafe_get h 5) in
+  let g = ref (Array.unsafe_get h 6) and hh = ref (Array.unsafe_get h 7) in
+  let t = ref 0 in
+  while !t < 64 do
+    let i = !t in
+    let t1 = !hh + big_sigma1 !e + ch !e !f !g + kw w i in
+    d := (!d + t1) land m32;
+    hh := (t1 + big_sigma0 !a + maj !a !b !c) land m32;
+    let t1 = !g + big_sigma1 !d + ch !d !e !f + kw w (i + 1) in
+    c := (!c + t1) land m32;
+    g := (t1 + big_sigma0 !hh + maj !hh !a !b) land m32;
+    let t1 = !f + big_sigma1 !c + ch !c !d !e + kw w (i + 2) in
+    b := (!b + t1) land m32;
+    f := (t1 + big_sigma0 !g + maj !g !hh !a) land m32;
+    let t1 = !e + big_sigma1 !b + ch !b !c !d + kw w (i + 3) in
+    a := (!a + t1) land m32;
+    e := (t1 + big_sigma0 !f + maj !f !g !hh) land m32;
+    let t1 = !d + big_sigma1 !a + ch !a !b !c + kw w (i + 4) in
+    hh := (!hh + t1) land m32;
+    d := (t1 + big_sigma0 !e + maj !e !f !g) land m32;
+    let t1 = !c + big_sigma1 !hh + ch !hh !a !b + kw w (i + 5) in
+    g := (!g + t1) land m32;
+    c := (t1 + big_sigma0 !d + maj !d !e !f) land m32;
+    let t1 = !b + big_sigma1 !g + ch !g !hh !a + kw w (i + 6) in
+    f := (!f + t1) land m32;
+    b := (t1 + big_sigma0 !c + maj !c !d !e) land m32;
+    let t1 = !a + big_sigma1 !f + ch !f !g !hh + kw w (i + 7) in
+    e := (!e + t1) land m32;
+    a := (t1 + big_sigma0 !b + maj !b !c !d) land m32;
+    t := i + 8
+  done;
+  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land m32);
+  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land m32);
+  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land m32);
+  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land m32);
+  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land m32);
+  Array.unsafe_set h 5 ((Array.unsafe_get h 5 + !f) land m32);
+  Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land m32);
+  Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land m32)
 
 let compress ctx block off =
   let w = ctx.w in
@@ -50,46 +132,10 @@ let compress ctx block off =
       lor (Char.code (Bytes.unsafe_get block (base + 2)) lsl 8)
       lor Char.code (Bytes.unsafe_get block (base + 3)))
   done;
-  for t = 16 to 63 do
-    let w15 = Array.unsafe_get w (t - 15) in
-    let w2 = Array.unsafe_get w (t - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
-    Array.unsafe_set w t
-      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1) land m32)
-  done;
-  let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 =
-      (!hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t) land m32
-    in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land m32 in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land m32;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land m32
-  done;
-  h.(0) <- (h.(0) + !a) land m32;
-  h.(1) <- (h.(1) + !b) land m32;
-  h.(2) <- (h.(2) + !c) land m32;
-  h.(3) <- (h.(3) + !d) land m32;
-  h.(4) <- (h.(4) + !e) land m32;
-  h.(5) <- (h.(5) + !f) land m32;
-  h.(6) <- (h.(6) + !g) land m32;
-  h.(7) <- (h.(7) + !hh) land m32
+  compress_words ctx.h w
 
 let feed_sub ctx src pos len =
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref pos and len = ref len in
   (* Top up a partially filled block first. *)
   if ctx.buf_len > 0 then begin
@@ -117,7 +163,7 @@ let feed_sub ctx src pos len =
 let feed_string ctx s = feed_sub ctx s 0 (String.length s)
 
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
+  let bit_len = ctx.total * 8 in
   (* Append 0x80, zero-pad to 56 mod 64, then the 64-bit length — all
      inside the block buffer, compressing as it fills. *)
   let put byte =
@@ -133,7 +179,7 @@ let finalize ctx =
     put 0x00
   done;
   for i = 7 downto 0 do
-    put (Int64.to_int (Int64.shift_right_logical bit_len (8 * i)) land 0xFF)
+    put ((bit_len lsr (8 * i)) land 0xFF)
   done;
   assert (ctx.buf_len = 0);
   let out = Bytes.create 32 in
@@ -196,7 +242,7 @@ let hmac_key key =
 let hmac_feed state =
   let ctx = init () in
   Array.blit state 0 ctx.h 0 8;
-  ctx.total <- 64L;
+  ctx.total <- 64;
   ctx
 
 let hmac_with hkey msg =
@@ -208,3 +254,78 @@ let hmac_with hkey msg =
   finalize ctx
 
 let hmac ~key msg = hmac_with (hmac_key key) msg
+
+(* The allocation-free MAC entry. Each domain owns one scratch: a
+   64-word schedule and an 8-word chaining state. The message is
+   written straight into the schedule as big-endian words, padding
+   and bit length included (the ipad block counts 64 bytes), then the
+   inner and outer compressions run from the pre-absorbed pad states.
+   [build_direct] and [Epoch.build_next] fan draws out over domains,
+   so the scratch must not be shared between them. *)
+type scratch = { sw : int array; ss : int array }
+
+let scratch_key = Domain.DLS.new_key (fun () -> { sw = Array.make 64 0; ss = Array.make 8 0 })
+
+let u62 = (1 lsl 62) - 1
+
+let copy8 dst src =
+  for i = 0 to 7 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
+
+(* Pads the [n]-word message in [w.(0..n-1)], which follows a
+   64-byte pad block: a 1 bit, zeros, the 64-bit bit length. *)
+let pad_words w n =
+  Array.unsafe_set w n 0x80000000;
+  for i = n + 1 to 14 do
+    Array.unsafe_set w i 0
+  done;
+  Array.unsafe_set w 15 ((64 + (4 * n)) * 8)
+
+(* Byte [i] of a big-endian word array. *)
+let[@inline] or_byte w i byte =
+  let j = i lsr 2 in
+  Array.unsafe_set w j (Array.unsafe_get w j lor (byte lsl (24 - (8 * (i land 3)))))
+
+(* [w.(0..15)] holds the padded one-block inner message. *)
+let mac62 hkey { sw = w; ss = s } =
+  copy8 s hkey.ipad_state;
+  compress_words s w;
+  copy8 w s;
+  pad_words w 8;
+  copy8 s hkey.opad_state;
+  compress_words s w;
+  ((Array.unsafe_get s 0 lsl 32) lor Array.unsafe_get s 1) land u62
+
+let hmac62_words2 hkey w0 w1 =
+  let sc = Domain.DLS.get scratch_key in
+  let w = sc.sw in
+  Array.unsafe_set w 0 (w0 land m32);
+  Array.unsafe_set w 1 (w1 land m32);
+  pad_words w 2;
+  mac62 hkey sc
+
+let hmac62_words4 hkey w0 w1 w2 w3 =
+  let sc = Domain.DLS.get scratch_key in
+  let w = sc.sw in
+  Array.unsafe_set w 0 (w0 land m32);
+  Array.unsafe_set w 1 (w1 land m32);
+  Array.unsafe_set w 2 (w2 land m32);
+  Array.unsafe_set w 3 (w3 land m32);
+  pad_words w 4;
+  mac62 hkey sc
+
+let hmac62_string hkey msg =
+  let len = String.length msg in
+  if len > 55 then Int64.to_int (prefix_int64 (hmac_with hkey msg)) land u62
+  else begin
+    let sc = Domain.DLS.get scratch_key in
+    let w = sc.sw in
+    Array.fill w 0 16 0;
+    for i = 0 to len - 1 do
+      or_byte w i (Char.code (String.unsafe_get msg i))
+    done;
+    or_byte w len 0x80;
+    Array.unsafe_set w 15 ((64 + len) * 8);
+    mac62 hkey sc
+  end

@@ -53,3 +53,29 @@ val hmac_with : hmac_key -> string -> digest
 (** [hmac_with (hmac_key k) msg = hmac ~key:k msg], skipping the two
     pad-block compressions on every call — the oracle families MAC
     millions of short messages under a handful of fixed keys. *)
+
+(** {2 The allocation-free oracle entry}
+
+    The oracle families MAC one short message per draw, millions of
+    times per graph build. These entries compute
+    [prefix_int64 (hmac_with k m)] truncated to its low 62 bits, as a
+    native [int], without allocating: the message is written as
+    big-endian 32-bit words (padding and length included) straight
+    into a message schedule, and the inner and outer compressions run
+    from [k]'s pre-absorbed pad states. The schedule and the chaining
+    state are one scratch per domain ([Domain.DLS]), so domains never
+    share it; a call is not re-entrant within one domain, and none of
+    them calls back into user code. *)
+
+val hmac62_words2 : hmac_key -> int -> int -> int
+(** [hmac62_words2 k w0 w1] for the 8-byte message holding the 32-bit
+    words [w0], [w1] (each taken mod [2^32]) in big-endian order. *)
+
+val hmac62_words4 : hmac_key -> int -> int -> int -> int -> int
+(** [hmac62_words4 k w0 w1 w2 w3] for the 16-byte message of four
+    big-endian 32-bit words. *)
+
+val hmac62_string : hmac_key -> string -> int
+(** [hmac62_string k m] for any [m]. Messages of at most 55 bytes fit
+    one block and take the allocation-free path; longer ones go
+    through {!hmac_with}. *)

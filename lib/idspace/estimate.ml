@@ -1,8 +1,6 @@
 let log_inverse_gap ring id =
   if Ring.cardinal ring < 2 then invalid_arg "Estimate.log_inverse_gap: need >= 2 IDs";
-  let succ =
-    match Ring.strict_successor ring id with Some s -> s | None -> assert false
-  in
+  let succ = Ring.strict_successor_exn ring id in
   let gap = float_of_int (Point.distance_cw id succ) *. 0x1p-62 in
   (* Adjacent distinct IDs are at least one unit apart, so gap > 0. *)
   -.log gap

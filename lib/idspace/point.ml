@@ -11,6 +11,10 @@ let of_u62 v =
 
 let to_u62 = Int64.of_int
 
+let of_int v =
+  if v < 0 then invalid_arg "Point.of_int: negative value";
+  v land mask
+
 let of_float x =
   if x < 0. || x >= 1. then invalid_arg "Point.of_float: out of [0,1)";
   int_of_float (x *. 0x1p62)

@@ -24,6 +24,11 @@ val of_u62 : int64 -> t
 val to_u62 : t -> int64
 (** The underlying integer in [0, 2^62). *)
 
+val of_int : int -> t
+(** [of_int v] interprets [v mod 2^62] as a point, like {!of_u62};
+    negative inputs raise [Invalid_argument]. The allocation-free
+    edge for {!Hashing.Oracle.draw_indexed}. *)
+
 val of_float : float -> t
 (** [of_float x] is the point at fraction [x]; requires
     [0 <= x < 1]. *)

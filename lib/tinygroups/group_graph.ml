@@ -78,9 +78,8 @@ module Builder = struct
     let ln_ln_estimate = Estimate.ln_ln_n b.ring w in
     let draws = Params.member_draws_estimated b.params ~ln_ln_estimate in
     if Array.length b.scratch < draws then b.scratch <- Array.make (2 * draws) 0;
-    let wk = Point.to_u62 w in
     for i = 1 to draws do
-      let u = Point.of_u62 (Hashing.Oracle.query_indexed b.member_oracle wk i) in
+      let u = Point.of_int (Hashing.Oracle.draw_indexed b.member_oracle (w :> int) i) in
       b.scratch.(i - 1) <- Ring.successor_rank b.ring u
     done;
     draws

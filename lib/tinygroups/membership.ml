@@ -142,7 +142,7 @@ let form_group ?(conditions = Sim.Conditions.inert) rng metrics pair ~now ~param
   let members = ref [] in
   for i = 1 to draws do
     let point =
-      Point.of_u62 (Hashing.Oracle.query_indexed member_oracle (Point.to_u62 leader) i)
+      Point.of_int (Hashing.Oracle.draw_indexed member_oracle (leader :> int) i)
     in
     searches := !searches + request_searches;
     (* Environmental faults apply per individual search inside the

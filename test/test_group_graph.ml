@@ -40,6 +40,27 @@ let test_group_membership_from_oracle () =
       Alcotest.(check bool) "member verifiable from hash points" true !justified)
     grp.Tinygroups.Group.members
 
+(* Forming a group allocates its record and member arrays, not its
+   member draws: under 100 words per group at n = 2048. *)
+let test_form_group_allocation () =
+  let pop = Adversary.Population.generate (Prng.Rng.split rng) ~n:2048 ~beta:0.05
+      ~strategy:Adversary.Placement.Uniform in
+  let b = Tinygroups.Group_graph.Builder.create ~params ~population:pop ~member_oracle:oracle in
+  let k = 2000 in
+  let ws = Array.init k (fun _ -> Point.random rng) in
+  let run () =
+    for i = 0 to k - 1 do
+      ignore (Sys.opaque_identity (Tinygroups.Group_graph.Builder.form_group b ws.(i)))
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let per_group = (Gc.minor_words () -. w0) /. float_of_int k in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per form_group < 100" per_group)
+    true (per_group < 100.)
+
 let test_group_sizes_near_d2_lnln () =
   let _, g = make ~n:1024 () in
   let m = Tinygroups.Group_graph.mean_group_size g in
@@ -393,6 +414,7 @@ let () =
           Alcotest.test_case "one group per ID (S1)" `Quick test_one_group_per_id;
           Alcotest.test_case "members from hash points" `Quick test_group_membership_from_oracle;
           Alcotest.test_case "sizes ~ d2 lnln n" `Quick test_group_sizes_near_d2_lnln;
+          Alcotest.test_case "form_group allocation" `Quick test_form_group_allocation;
           Alcotest.test_case "membership bookkeeping" `Quick test_groups_per_id_positive;
           Alcotest.test_case "parallel build identical" `Quick
             test_parallel_build_identical;

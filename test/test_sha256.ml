@@ -140,6 +140,46 @@ let prop_incremental_agrees =
       Hashing.Sha256.feed_string ctx b;
       hex (Hashing.Sha256.finalize ctx) = hex (Hashing.Sha256.digest_string (a ^ b)))
 
+(* The allocation-free oracle entry against the MAC it shortcuts:
+   the low 62 bits of the first 8 bytes of [hmac_with]. *)
+
+let mac_key = Hashing.Sha256.hmac_key "entry-law-key"
+
+let reference62 msg =
+  Int64.to_int (Hashing.Sha256.prefix_int64 (Hashing.Sha256.hmac_with mac_key msg))
+  land ((1 lsl 62) - 1)
+
+let be_words ws =
+  let b = Bytes.create (4 * List.length ws) in
+  List.iteri (fun i w -> Bytes.set_int32_be b (4 * i) (Int32.of_int w)) ws;
+  Bytes.to_string b
+
+let word = QCheck.map (fun v -> Int64.to_int (Int64.logand v 0xFFFF_FFFFL)) QCheck.int64
+
+let prop_words4_law =
+  QCheck.Test.make ~name:"hmac62_words4 = truncated hmac_with" ~count:500
+    QCheck.(quad word word word word)
+    (fun (a, b, c, d) ->
+      Hashing.Sha256.hmac62_words4 mac_key a b c d = reference62 (be_words [ a; b; c; d ]))
+
+let prop_words2_law =
+  QCheck.Test.make ~name:"hmac62_words2 = truncated hmac_with" ~count:500
+    QCheck.(pair word word)
+    (fun (a, b) -> Hashing.Sha256.hmac62_words2 mac_key a b = reference62 (be_words [ a; b ]))
+
+let prop_string_law =
+  QCheck.Test.make ~name:"hmac62_string = truncated hmac_with (lengths 0..130)" ~count:500
+    QCheck.(string_of_size (Gen.int_bound 130))
+    (fun m -> Hashing.Sha256.hmac62_string mac_key m = reference62 m)
+
+let test_string_entry_boundaries () =
+  List.iter
+    (fun len ->
+      let m = String.init len (fun i -> Char.chr ((i * 13) land 0xFF)) in
+      Alcotest.(check int) (Printf.sprintf "len %d" len) (reference62 m)
+        (Hashing.Sha256.hmac62_string mac_key m))
+    [ 0; 1; 3; 4; 5; 54; 55; 56; 63; 64; 119; 120 ]
+
 let () =
   Alcotest.run "sha256"
     [
@@ -167,6 +207,8 @@ let () =
           Alcotest.test_case "rfc4231 case 3" `Quick test_hmac_rfc4231_case3;
           Alcotest.test_case "rfc4231 case 6 (long key)" `Quick test_hmac_long_key;
           Alcotest.test_case "key separation" `Quick test_hmac_key_separation;
+          Alcotest.test_case "string entry at block boundaries" `Quick
+            test_string_entry_boundaries;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -175,5 +217,8 @@ let () =
             prop_deterministic;
             prop_no_collisions_observed;
             prop_incremental_agrees;
+            prop_words4_law;
+            prop_words2_law;
+            prop_string_law;
           ] );
     ]
