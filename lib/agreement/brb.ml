@@ -75,30 +75,19 @@ let run ?(conditions = Sim.Conditions.none) ?metrics rng ~n ~sender ~byzantine
   let inbox : (int * msg) list array = Array.make n [] in
   let next : (int * msg) list array = Array.make n [] in
   let sent_this_round = ref false in
-  let attempt ~src ~dst () =
+  let charge () =
     incr messages;
     bits := !bits + message_bits;
     count_metric Sim.Metrics.msg_agreement 1;
-    count_metric Sim.Metrics.ba_bits_sent message_bits;
-    match conds.Sim.Conditions.injector with
-    | None -> true
-    | Some inj -> (
-        match
-          Faults.Injector.decide inj ~now:!round ~src:(Some pts.(src)) ~dst:pts.(dst)
-        with
-        | Faults.Injector.Deliver _ -> true
-        | Faults.Injector.Drop -> false)
+    count_metric Sim.Metrics.ba_bits_sent message_bits
   in
   let transmit ~src ~dst m =
     sent_this_round := true;
     if src = dst then next.(dst) <- (src, m) :: next.(dst)
-    else
-      let ok =
-        match conds.Sim.Conditions.tracker with
-        | Some tr -> Reliability.Tracker.with_retries tr ~dst:pts.(dst) (attempt ~src ~dst)
-        | None -> attempt ~src ~dst ()
-      in
-      if ok then next.(dst) <- (src, m) :: next.(dst) else incr dropped
+    else if
+      Sim.Conditions.transmit conds ~now:!round ~src:pts.(src) ~dst:pts.(dst) ~charge
+    then next.(dst) <- (src, m) :: next.(dst)
+    else incr dropped
   in
   let broadcast src m =
     for dst = 0 to n - 1 do

@@ -26,11 +26,11 @@
     it broadcasts [READY m]; on [2 f + 1] [READY]s it delivers [m].
     Tolerates [f < n/3] Byzantine processes.
 
-    {b Conditions.} Every point-to-point message consults the
-    conditions' fault injector ({!Faults.Injector.decide}; process
-    [i] is ring point [i + 1]) and, when a reliability tracker is
-    present, lost sends are retried within its budget, each attempt
-    drawing a fresh verdict ({!Reliability.Tracker.with_retries}).
+    {b Conditions.} Every point-to-point message goes through
+    {!Sim.Conditions.transmit} (process [i] is ring point [i + 1]):
+    the conditions' fault injector rules on each attempt, and a lost
+    send is retried within the tracker's budget, each attempt
+    charged and drawing a fresh verdict.
     The zero anchors hold: a zero-rate plan and a zero-budget policy
     are byte-identical to {!Sim.Conditions.none}. *)
 

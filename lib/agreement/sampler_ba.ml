@@ -49,21 +49,8 @@ let run ?(conditions = Sim.Conditions.none) ?metrics rng ~inputs ~byzantine
     count_metric Sim.Metrics.msg_agreement 1;
     count_metric Sim.Metrics.ba_bits_sent 1
   in
-  let leg ~src ~dst () =
-    charge ();
-    match conds.Sim.Conditions.injector with
-    | None -> true
-    | Some inj -> (
-        match
-          Faults.Injector.decide inj ~now:!round ~src:(Some pts.(src)) ~dst:pts.(dst)
-        with
-        | Faults.Injector.Deliver _ -> true
-        | Faults.Injector.Drop -> false)
-  in
   let deliver ~src ~dst =
-    match conds.Sim.Conditions.tracker with
-    | Some tr -> Reliability.Tracker.with_retries tr ~dst:pts.(dst) (leg ~src ~dst)
-    | None -> leg ~src ~dst ()
+    Sim.Conditions.transmit conds ~now:!round ~src:pts.(src) ~dst:pts.(dst) ~charge
   in
   let respond j =
     if byzantine.(j) then

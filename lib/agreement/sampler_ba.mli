@@ -24,9 +24,11 @@
     [tolerates] bound [8 t < n]) — checked by the law suite over
     seeds, not by this function.
 
-    {b Conditions.} Poll responses cross the conditions' fault
-    injector (node [i] is ring point [i + 1]) and are retried within
-    the reliability budget, like every other transport in the repo;
+    {b Conditions.} Both legs of a poll go through
+    {!Sim.Conditions.transmit} (node [i] is ring point [i + 1]), the
+    same send as {!Brb}'s: each attempt is charged and crosses the
+    conditions' fault injector, and a lost leg is retried within the
+    reliability budget;
     zero-rate plans and zero-budget policies are byte-identical to
     benign conditions. *)
 

@@ -324,6 +324,8 @@ let to_json r =
     [
       ("experiment", Report.String "e26");
       ("scale", Report.String (Scale.to_string r.scale));
+      (* The machine behind the wall-clock fields. *)
+      ("cores", Report.Int (Domain.recommended_domain_count ()));
       ("n", Report.Int k.n);
       ("epochs", Report.Int k.epochs);
       ("searches_per_epoch", Report.Int k.searches);

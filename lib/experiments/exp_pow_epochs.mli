@@ -85,7 +85,8 @@ val to_table : report -> Table.t
 (** Deterministic fields only (digest-checked via the golden net). *)
 
 val to_json : report -> Report.t
-(** Full report including measured wall-clock. *)
+(** Full report including measured wall-clock and the core count of
+    the machine writing it. *)
 
 val run_e26 : ?jobs:int -> Prng.Rng.t -> Scale.t -> Table.t
 (** Registry entry point: [to_table (run ...)]. *)

@@ -269,6 +269,8 @@ let to_json r =
     [
       ("experiment", Report.String "e25");
       ("scale", Report.String (Scale.to_string r.scale));
+      (* The machine behind the wall-clock fields. *)
+      ("cores", Report.Int (Domain.recommended_domain_count ()));
       ("beta", Report.Float beta);
       ( "notes",
         Report.String

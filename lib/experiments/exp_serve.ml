@@ -96,28 +96,18 @@ type cohort = {
    see the same fault schedule. *)
 let deliver cohort lat latrng =
   let rt () = Sim.Latency.sample latrng lat + Sim.Latency.sample latrng lat in
-  match cohort.conds.Sim.Conditions.injector with
-  | None -> (0, true)
-  | Some inj ->
-      let budget =
-        match cohort.conds.Sim.Conditions.tracker with
-        | Some trk when Reliability.Tracker.active trk -> Reliability.Tracker.budget trk
-        | _ -> 0
-      in
-      let rec go attempt cost =
-        if not (Faults.Injector.search_lost inj) then (cost, true)
-        else if attempt < budget then begin
-          cohort.retried <- cohort.retried + 1;
-          let backoff =
-            match cohort.conds.Sim.Conditions.tracker with
-            | Some trk -> Reliability.Tracker.next_backoff trk ~attempt
-            | None -> 0
-          in
-          go (attempt + 1) (cost + rt () + backoff)
-        end
-        else (cost + timeout_ms, false)
-      in
-      go 0 0
+  let { Sim.Conditions.injector; tracker } = cohort.conds in
+  let budget = Reliability.Tracker.budget tracker in
+  let rec go attempt cost =
+    if not (Faults.Injector.search_lost injector) then (cost, true)
+    else if attempt < budget then begin
+      cohort.retried <- cohort.retried + 1;
+      let backoff = Reliability.Tracker.next_backoff tracker ~attempt in
+      go (attempt + 1) (cost + rt () + backoff)
+    end
+    else (cost + timeout_ms, false)
+  in
+  go 0 0
 
 (* One operation end to end: resolve the home (cached or by secure
    walk), run the replicated op, and charge one latency draw per

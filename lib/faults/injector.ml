@@ -34,14 +34,10 @@ let index_points pts =
   List.iter (fun p -> Hashtbl.replace h p ()) pts;
   h
 
-(* Disabled injectors never write [crashed_ids] ([enabled_ = false]
-   short-circuits every mutation path), so all of them can share one
-   empty table instead of allocating a degenerate one per call —
-   [disabled] is called once per run at every conditions-free
-   call site, which adds up at the stress tier. *)
-let no_crashed_ids : (Point.t, crash_state list) Hashtbl.t = Hashtbl.create 1
-
-let disabled () =
+(* The disabled injector never writes its tables, PRNG or counters
+   ([enabled_ = false] short-circuits every mutation path), so one
+   value serves every conditions-free run. *)
+let disabled =
   {
     enabled_ = false;
     plan_ = Plan.none;
@@ -49,7 +45,7 @@ let disabled () =
     metrics_ = Metrics_core.create ();
     cuts = [];
     crashes = [];
-    crashed_ids = no_crashed_ids;
+    crashed_ids = Hashtbl.create 1;
     wildcard_drop = 0.;
   }
 
@@ -87,8 +83,6 @@ let create ?metrics (plan : Plan.t) =
     wildcard_drop = Plan.wildcard_drop plan;
   }
 
-let enabled t = t.enabled_
-let plan t = t.plan_
 let metrics t = t.metrics_
 
 (* -- substreams ----------------------------------------------------

@@ -16,20 +16,15 @@ open Idspace
 
 type t
 
-val disabled : unit -> t
-(** Never injects, never draws; {!decide} always answers plain
-    delivery. What [?faults:None] threads through the stack. *)
+val disabled : t
+(** Never injects, never draws, never counts; {!decide} always answers
+    plain delivery. What a run without a fault plan consults: an
+    absent plan activates to it in [Sim.Conditions.activate]. *)
 
 val create : ?metrics:Metrics_core.t -> Plan.t -> t
 (** Fault counters are added into [metrics] when given (e.g. an
     epoch's cost accumulator), otherwise into a private table
     readable via {!metrics}. *)
-
-val enabled : t -> bool
-(** [false] exactly for {!disabled} injectors. *)
-
-val plan : t -> Plan.t
-(** {!Plan.none} for a disabled injector. *)
 
 type decision =
   | Deliver of { extra_delay : int; copies : int }

@@ -5,23 +5,12 @@ type t = {
   latency : Sim.Latency.t;
   engine : Sim.Engine.t;
   handlers : (Point.t, t -> now:int -> Message.t -> unit) Hashtbl.t;
-  injector : Faults.Injector.t;
-  tracker : Reliability.Tracker.t;
+  conds : Sim.Conditions.active;
   mutable sent : int;
   mutable delivered : int;
 }
 
 let create ?(conditions = Sim.Conditions.none) ?metrics ?(size = 1024) rng ~latency =
-  let injector =
-    match conditions.Sim.Conditions.faults with
-    | None -> Faults.Injector.disabled ()
-    | Some plan -> Faults.Injector.create ?metrics plan
-  in
-  let tracker =
-    match conditions.Sim.Conditions.reliability with
-    | None -> Reliability.Tracker.disabled ()
-    | Some policy -> Reliability.Tracker.create ?metrics policy
-  in
   {
     rng;
     latency;
@@ -29,8 +18,7 @@ let create ?(conditions = Sim.Conditions.none) ?metrics ?(size = 1024) rng ~late
     (* [handlers] is only probed by key, never iterated; [?size] lets
        a caller expecting ~n registrations skip the rehash ladder. *)
     handlers = Hashtbl.create (max 16 size);
-    injector;
-    tracker;
+    conds = Sim.Conditions.activate ?metrics conditions;
     sent = 0;
     delivered = 0;
   }
@@ -52,22 +40,23 @@ let deliver_after t ~delay ~to_ message =
    timeout — in the simulation the verdict is known at once, so the
    timeout collapses into the scheduled retry delay. *)
 let send ?src t ~to_ message =
+  let { Sim.Conditions.injector; tracker } = t.conds in
   let rec attempt k =
     t.sent <- t.sent + 1;
     match
-      Faults.Injector.decide t.injector ~now:(Sim.Engine.now t.engine) ~src ~dst:to_
+      Faults.Injector.decide injector ~now:(Sim.Engine.now t.engine) ~src ~dst:to_
     with
     | Faults.Injector.Drop ->
         if
-          k < Reliability.Tracker.budget t.tracker
-          && not (Reliability.Tracker.circuit_open t.tracker to_)
+          k < Reliability.Tracker.budget tracker
+          && not (Reliability.Tracker.circuit_open tracker to_)
         then begin
-          let backoff = Reliability.Tracker.next_backoff t.tracker ~attempt:k in
+          let backoff = Reliability.Tracker.next_backoff tracker ~attempt:k in
           Sim.Engine.schedule_after t.engine ~delay:backoff (fun () -> attempt (k + 1))
         end
-        else Reliability.Tracker.record_exhausted t.tracker to_
+        else Reliability.Tracker.record_exhausted tracker to_
     | Faults.Injector.Deliver { extra_delay; copies } ->
-        Reliability.Tracker.record_success t.tracker to_;
+        Reliability.Tracker.record_success tracker to_;
         for _ = 1 to copies do
           let delay = Sim.Latency.sample t.rng t.latency + extra_delay in
           deliver_after t ~delay ~to_ message
@@ -77,10 +66,9 @@ let send ?src t ~to_ message =
 
 let run ?deadline t =
   Sim.Engine.run ?until:deadline t.engine;
-  Faults.Injector.observe_heals t.injector ~now:(Sim.Engine.now t.engine)
+  Faults.Injector.observe_heals t.conds.Sim.Conditions.injector
+    ~now:(Sim.Engine.now t.engine)
 
 let now t = Sim.Engine.now t.engine
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
-let fault_metrics t = Sim.Metrics.snapshot (Faults.Injector.metrics t.injector)
-let retry_metrics t = Sim.Metrics.snapshot (Reliability.Tracker.metrics t.tracker)

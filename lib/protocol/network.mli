@@ -36,13 +36,15 @@ val create :
   Prng.Rng.t ->
   latency:Sim.Latency.t ->
   t
-(** [?conditions] defaults to {!Sim.Conditions.none}: no fault
-    injection, no retries. [?metrics] is where fault and retry counters
-    ({!Sim.Metrics.fault_injected}, {!Sim.Metrics.retry_attempted}
-    etc.) accumulate; private tables otherwise (see {!fault_metrics}
-    and {!retry_metrics}). [?size] (default 1024) hints the expected
-    number of registered handlers; purely a capacity hint, never
-    observable in behaviour. *)
+(** [?conditions] (default {!Sim.Conditions.none}: no fault
+    injection, no retries) is activated once, here
+    ({!Sim.Conditions.activate}), and every {!send} consults the
+    resulting injector and tracker. [?metrics] is where their fault
+    and retry counters ({!Sim.Metrics.fault_injected},
+    {!Sim.Metrics.retry_attempted} etc.) accumulate; without it they
+    count into private tables. [?size] (default 1024) hints the
+    expected number of registered handlers; purely a capacity hint,
+    never observable in behaviour. *)
 
 val register : t -> Point.t -> (t -> now:int -> Message.t -> unit) -> unit
 (** Install the handler run at each delivery to this ID.
@@ -66,11 +68,3 @@ val messages_delivered : t -> int
 (** Copies actually handed to a registered handler — excludes
     fault-dropped, partition-suppressed and addressee-less messages;
     includes fault duplicates. *)
-
-val fault_metrics : t -> Sim.Metrics.snapshot
-(** Current fault counters of this network's injector (empty when no
-    plan was given). *)
-
-val retry_metrics : t -> Sim.Metrics.snapshot
-(** Current retry counters of this network's reliability tracker
-    (empty when no policy was given). *)

@@ -35,14 +35,16 @@ type t = {
   slice : (Point.t, summary) Hashtbl.t;
 }
 
-(* Disabled trackers never write either table (every mutation guards
-   on [active_]), so they can all share the same empty ones rather
-   than allocating degenerate single-bucket tables per call. *)
+(* Tables a tracker never writes share these empty ones: all three of
+   the disabled tracker's (every mutation guards on [active_]), a
+   master's [slice], and a fork's [failures]/[broken] (a fork reads its
+   parent's). *)
 let no_failures : (Point.t, int) Hashtbl.t = Hashtbl.create 1
 let no_broken : (Point.t, unit) Hashtbl.t = Hashtbl.create 1
 let no_slice : (Point.t, summary) Hashtbl.t = Hashtbl.create 1
 
-let disabled () =
+(* Never written, so one value serves every conditions-free run. *)
+let disabled =
   {
     active_ = false;
     policy_ = Policy.none;
@@ -67,7 +69,6 @@ let create ?metrics (policy : Policy.t) =
   }
 
 let active t = t.active_
-let policy t = t.policy_
 let metrics t = t.metrics_
 let budget t = if t.active_ then t.policy_.Policy.max_retries else 0
 

@@ -21,9 +21,10 @@ open Idspace
 
 type t
 
-val disabled : unit -> t
-(** Never retries, never draws. What [?reliability:None] threads
-    through the stack. *)
+val disabled : t
+(** Never retries, never draws, never counts. What a run without a
+    retry policy consults: an absent policy activates to it in
+    [Sim.Conditions.activate]. *)
 
 val create : ?metrics:Metrics_core.t -> Policy.t -> t
 (** Retry counters are added into [metrics] when given, otherwise
@@ -33,7 +34,6 @@ val active : t -> bool
 (** [false] for {!disabled} trackers and zero-budget policies: the
     tracker will never retry, draw, or count. *)
 
-val policy : t -> Policy.t
 val metrics : t -> Metrics_core.t
 
 val budget : t -> int

@@ -5,7 +5,6 @@ type t = {
 
 let none = { faults = None; reliability = None }
 let make ?faults ?reliability () = { faults; reliability }
-let is_none t = t.faults = None && t.reliability = None
 
 let describe t =
   match (t.faults, t.reliability) with
@@ -17,35 +16,42 @@ let describe t =
         (Reliability.Policy.describe r)
 
 type active = {
-  injector : Faults.Injector.t option;
-  tracker : Reliability.Tracker.t option;
+  injector : Faults.Injector.t;
+  tracker : Reliability.Tracker.t;
 }
 
-let inert = { injector = None; tracker = None }
+let inert =
+  { injector = Faults.Injector.disabled; tracker = Reliability.Tracker.disabled }
 
 let activate ?metrics t =
   {
-    injector = Option.map (fun p -> Faults.Injector.create ?metrics p) t.faults;
+    injector =
+      (match t.faults with
+      | None -> Faults.Injector.disabled
+      | Some p -> Faults.Injector.create ?metrics p);
     tracker =
-      Option.map (fun p -> Reliability.Tracker.create ?metrics p) t.reliability;
+      (match t.reliability with
+      | None -> Reliability.Tracker.disabled
+      | Some p -> Reliability.Tracker.create ?metrics p);
   }
 
-let of_instances ?injector ?tracker () = { injector; tracker }
+let transmit a ~now ~src ~dst ~charge =
+  Reliability.Tracker.with_retries a.tracker ~dst (fun () ->
+      charge ();
+      match Faults.Injector.decide a.injector ~now ~src:(Some src) ~dst with
+      | Faults.Injector.Deliver _ -> true
+      | Faults.Injector.Drop -> false)
 
 let fork a ~metrics =
   {
-    injector = Option.map (fun i -> Faults.Injector.fork i ~metrics) a.injector;
-    tracker = Option.map (fun t -> Reliability.Tracker.fork t ~metrics) a.tracker;
+    injector = Faults.Injector.fork a.injector ~metrics;
+    tracker = Reliability.Tracker.fork a.tracker ~metrics;
   }
 
 let reseed a ~key =
-  Option.iter (fun i -> Faults.Injector.reseed i ~key) a.injector;
-  Option.iter (fun t -> Reliability.Tracker.reseed t ~key) a.tracker
+  Faults.Injector.reseed a.injector ~key;
+  Reliability.Tracker.reseed a.tracker ~key
 
 let merge ~into a =
-  (match (into.injector, a.injector) with
-  | Some dst, Some src -> Faults.Injector.merge_seen ~into:dst src
-  | _ -> ());
-  match (into.tracker, a.tracker) with
-  | Some dst, Some src -> Reliability.Tracker.merge_events ~into:dst src
-  | _ -> ()
+  Faults.Injector.merge_seen ~into:into.injector a.injector;
+  Reliability.Tracker.merge_events ~into:into.tracker a.tracker

@@ -29,9 +29,6 @@ val none : t
 val make :
   ?faults:Faults.Plan.t -> ?reliability:Reliability.Policy.t -> unit -> t
 
-val is_none : t -> bool
-(** True when both components are absent ({e not} merely zero-rate). *)
-
 val describe : t -> string
 (** Human-readable one-liner, e.g. for table notes. *)
 
@@ -40,28 +37,40 @@ val describe : t -> string
     A plan/policy pair is immutable configuration; running under it
     requires stateful instances — a {!Faults.Injector.t} drawing from
     the plan's own seed and a {!Reliability.Tracker.t} holding
-    circuit state. [active] carries those. Absent components stay
-    [None] so that passing {!inert} is byte-identical to passing no
-    injector and no tracker at all. *)
+    circuit state. [active] always carries both: an absent plan or
+    policy activates to the component's disabled value
+    ({!Faults.Injector.disabled}, {!Reliability.Tracker.disabled}),
+    which never draws, never counts and never changes state, so a
+    run under {!inert} is byte-identical to a run with no fault or
+    retry layer at all. Every consumer calls the components directly;
+    none branches on whether they are enabled. *)
 
 type active = {
-  injector : Faults.Injector.t option;
-  tracker : Reliability.Tracker.t option;
+  injector : Faults.Injector.t;
+  tracker : Reliability.Tracker.t;
 }
 
 val inert : active
-(** No injector, no tracker; immutable and freely shared. *)
+(** The disabled injector and tracker; immutable and freely shared. *)
 
 val activate : ?metrics:Metrics.t -> t -> active
-(** Instantiate the stateful layers for one run. Components that are
-    [None] in [t] stay [None] in the result; present ones count into
-    [metrics] when given. *)
+(** Instantiate the stateful layers for one run: an absent component
+    activates to its disabled value, a present one counts into
+    [metrics] when given (a private table otherwise). *)
 
-val of_instances :
-  ?injector:Faults.Injector.t -> ?tracker:Reliability.Tracker.t -> unit -> active
-(** Wrap pre-built instances, e.g. ones whose lifetime spans several
-    protocol calls (the epoch chain builds its injector once and
-    reuses it across all membership traffic). *)
+val transmit :
+  active ->
+  now:int ->
+  src:Idspace.Point.t ->
+  dst:Idspace.Point.t ->
+  charge:(unit -> unit) ->
+  bool
+(** One point-to-point message under the conditions: each attempt
+    calls [charge] (the sender pays for every copy it puts on the
+    wire) and asks the injector for a verdict at [now]; a dropped
+    attempt is retried within the tracker's budget
+    ({!Reliability.Tracker.with_retries}). [true] when an attempt was
+    delivered. Under {!inert} it is exactly one [charge] and [true]. *)
 
 (** {1 Substreams}
 
@@ -70,11 +79,12 @@ val of_instances :
     its leaders ({!reseed}), and folds each slice back into the
     master in rank order ({!merge}) — see [Faults.Injector] and
     [Reliability.Tracker] for the per-component contracts that make
-    the result independent of the slicing. *)
+    the result independent of the slicing. Disabled components fork
+    to themselves and ignore [reseed] and [merge]. *)
 
 val fork : active -> metrics:Metrics.t -> active
 (** Component-wise {!Faults.Injector.fork} /
-    {!Reliability.Tracker.fork}; absent components stay [None]. *)
+    {!Reliability.Tracker.fork}. *)
 
 val reseed : active -> key:int64 -> unit
 (** Component-wise {!Faults.Injector.reseed} /

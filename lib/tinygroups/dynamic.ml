@@ -14,11 +14,13 @@ type cost = {
 
 (* Leaders whose finger/successor linking rule touches [id]'s arc:
    for Chord-style rules, v with v + 2^j in (pred(id), id] for some
-   j, plus id's ring neighbours. The generic filter against the
-   overlay's own neighbour function keeps this sound for any
-   construction (it may under-enumerate for other rules, e.g. the
-   halving links of distance halving; Chord and Chord++ are covered
-   exactly). *)
+   j, plus id's ring neighbours. The filter against the overlay's own
+   neighbour function keeps every returned leader a true capturer,
+   but the set is a lower bound even for Chord and Chord++: each
+   stride's arc scan stops after 9 IDs, so a crowded arc loses the
+   rest (and for other rules, e.g. the halving links of distance
+   halving, it may miss whole arcs). Uncapping the scan would
+   change join-time searches and their message counts. *)
 let capture_candidates ring ~id =
   let pred = match Ring.predecessor ring id with Some p -> p | None -> id in
   let acc = ref [] in

@@ -70,6 +70,9 @@ val depart_many : Group_graph.t -> ids:Point.t list -> Group_graph.t * cost
     on an absent or duplicated ID. *)
 
 val captured_by : Group_graph.t -> id:Point.t -> Point.t list
-(** The existing leaders whose linking rule would link to [id] once
-    it joins (the reverse-neighbour set), as {!join_many} counts them
-    in [affected_groups]; exposed for tests. *)
+(** Existing leaders whose linking rule would link to [id] once it
+    joins, as {!join_many} counts them in [affected_groups]; exposed
+    for tests. Every returned leader does link to [id], but the set
+    is a lower bound on the reverse-neighbour set, for Chord and
+    Chord++ too: the candidate scan visits at most 9 IDs per finger
+    stride, so leaders further along a crowded arc are missed. *)

@@ -53,10 +53,8 @@ type t = {
          transition fan out over rank slices and stay byte-identical
          at every [build_jobs]; see DESIGN.md §11. *)
   metrics_ : Sim.Metrics.t;
-  inj : Faults.Injector.t;
-  rel : Reliability.Tracker.t;
   conds : Sim.Conditions.active;
-      (* [inj]/[rel] wrapped once, handed to every membership call. *)
+      (* Activated once, handed to every membership call. *)
   h1 : Hashing.Oracle.t;
   h2 : Hashing.Oracle.t;
   mutable epoch_ : int;
@@ -139,16 +137,7 @@ let init ?(conditions = Sim.Conditions.none) rng config =
   let h1 = Hashing.Oracle.make ~system_key ~label:"h1" in
   let h2 = Hashing.Oracle.make ~system_key ~label:"h2" in
   let metrics_ = Sim.Metrics.create () in
-  let inj =
-    match conditions.Sim.Conditions.faults with
-    | None -> Faults.Injector.disabled ()
-    | Some plan -> Faults.Injector.create ~metrics:metrics_ plan
-  in
-  let rel =
-    match conditions.Sim.Conditions.reliability with
-    | None -> Reliability.Tracker.disabled ()
-    | Some policy -> Reliability.Tracker.create ~metrics:metrics_ policy
-  in
+  let conds = Sim.Conditions.activate ~metrics:metrics_ conditions in
   let stream_key = Prng.Rng.bits64 rng in
   let pow_state =
     Option.map
@@ -186,9 +175,7 @@ let init ?(conditions = Sim.Conditions.none) rng config =
     rng;
     stream_key;
     metrics_;
-    inj;
-    rel;
-    conds = Sim.Conditions.of_instances ~injector:inj ~tracker:rel ();
+    conds;
     h1;
     h2;
     epoch_ = 0;
@@ -236,7 +223,7 @@ let build_next t ~old ~new_pop ~new_overlay ~member_oracle ~phase =
   ignore (Lazy.force Membership.(old.bad_ring));
   ignore (Group_graph.blue_leaders Membership.(old.g1));
   Option.iter (fun g -> ignore (Group_graph.blue_leaders g)) Membership.(old.g2);
-  let tracker_active = Reliability.Tracker.active t.rel in
+  let tracker_active = Reliability.Tracker.active t.conds.Sim.Conditions.tracker in
   let run_slice lo hi =
     let metrics = Sim.Metrics.create () in
     let conds = Sim.Conditions.fork t.conds ~metrics in
@@ -319,7 +306,7 @@ let advance t =
   t.g1 <- new1;
   t.g2 <- new2;
   t.epoch_ <- t.epoch_ + 1;
-  Faults.Injector.observe_heals t.inj ~now:t.epoch_;
+  Faults.Injector.observe_heals t.conds.Sim.Conditions.injector ~now:t.epoch_;
   let census = Group_graph.census new1 in
   Log.debug (fun m ->
       m "epoch %d: n=%d good=%d weak=%d hijacked=%d confused=%d (membership msgs so far: %d)"

@@ -30,15 +30,10 @@ let graphs pair = pair.g1 :: Option.to_list pair.g2
    injector — so only a whole budget of consecutive losses still
    reads as a hijack. *)
 let one_search ~conds rng metrics graph ~failure ~src ~point =
-  let wave_delivered () =
-    match conds.Sim.Conditions.injector with
-    | Some inj -> not (Faults.Injector.search_lost inj)
-    | None -> true
-  in
+  let { Sim.Conditions.injector; tracker } = conds in
   let delivered =
-    match conds.Sim.Conditions.tracker with
-    | Some tracker -> Reliability.Tracker.with_retries tracker ~dst:point wave_delivered
-    | None -> wave_delivered ()
+    Reliability.Tracker.with_retries tracker ~dst:point (fun () ->
+        not (Faults.Injector.search_lost injector))
   in
   if not delivered then false
   else
@@ -126,14 +121,8 @@ let request_searches = 4
 let form_group ?(conditions = Sim.Conditions.inert) rng metrics pair ~now ~params
     ~member_oracle ~ring ~leader ~neighbors =
   let injector = conditions.Sim.Conditions.injector in
-  let crashed m =
-    match injector with Some inj -> Faults.Injector.crashed inj ~now m | None -> false
-  in
-  let severed u =
-    match injector with
-    | Some inj -> Faults.Injector.severed inj ~now ~src:(Some leader) ~dst:u
-    | None -> false
-  in
+  let crashed m = Faults.Injector.crashed injector ~now m in
+  let severed u = Faults.Injector.severed injector ~now ~src:(Some leader) ~dst:u in
   let searches = ref 0 in
   let draws =
     Params.member_draws_estimated params

@@ -77,7 +77,7 @@ val dual_search :
     analytic layer does not re-charge per-wave messages for
     retransmissions (consistent with its convention of not charging
     lost waves). A zero-budget tracker is inert and byte-identical
-    to passing no tracker at all. *)
+    to the disabled one of {!Sim.Conditions.inert}. *)
 
 val verification_search :
   ?conditions:Sim.Conditions.active ->

@@ -316,6 +316,51 @@ let test_sampler_bits_grow_slower () =
     true
     (pk_last > 3. *. sa_last)
 
+(* The sampler's zero anchor, as test_brb pins it for BRB: a
+   zero-rate plan plus a budget-0 policy must be byte-identical to
+   benign conditions — same outcome, same counters, and the
+   simulation stream left in the same position (the injector and
+   tracker draw only from their own seeds, and zero rates draw
+   nothing). *)
+let test_sampler_zero_conditions_are_benign () =
+  let zero =
+    Sim.Conditions.make
+      ~faults:(Faults.Plan.uniform ())
+      ~reliability:(Reliability.Policy.make ~max_retries:0 ())
+      ()
+  in
+  List.iter
+    (fun (name, behaviour) ->
+      let run conditions =
+        let rng = Prng.Rng.create 53 in
+        let n = 48 in
+        let byzantine = Array.init n (fun i -> i < 5) in
+        Prng.Rng.shuffle rng byzantine;
+        let inputs = Array.init n (fun _ -> Prng.Rng.bool rng) in
+        let metrics = Sim.Metrics.create () in
+        let o =
+          Agreement.Sampler_ba.run ~conditions ~metrics rng ~inputs ~byzantine
+            ~behaviour
+        in
+        (o, Sim.Metrics.(to_list (snapshot metrics)), Prng.Rng.int rng 1_000_000)
+      in
+      let o_none, m_none, tail_none = run Sim.Conditions.none in
+      let o_zero, m_zero, tail_zero = run zero in
+      Alcotest.(check bool)
+        (Printf.sprintf "outcomes identical (%s)" name)
+        true (o_none = o_zero);
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "counters identical (%s)" name)
+        m_none m_zero;
+      Alcotest.(check int)
+        (Printf.sprintf "stream position identical (%s)" name)
+        tail_none tail_zero)
+    [
+      ("silent", Agreement.Sampler_ba.Silent);
+      ("random", Agreement.Sampler_ba.Random);
+      ("collude-1", Agreement.Sampler_ba.Collude_against true);
+    ]
+
 let prop_agreement_random_faults =
   QCheck.Test.make ~name:"phase king agrees for random fault sets" ~count:60
     QCheck.(pair small_int (int_range 5 15))
@@ -374,6 +419,8 @@ let () =
           Alcotest.test_case "pinned message counts" `Quick test_golden_message_counts;
           Alcotest.test_case "sampler bits/node grows slower than phase-king" `Quick
             test_sampler_bits_grow_slower;
+          Alcotest.test_case "sampler zero-rate plan == benign" `Quick
+            test_sampler_zero_conditions_are_benign;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_agreement_random_faults ]);
     ]

@@ -232,6 +232,42 @@ let prop_series_append_assoc =
       && Sim.Series.to_list right = xs @ ys @ zs
       && Sim.Series.to_list src = ys)
 
+(* [Conditions.transmit]: every attempt is charged, the injector
+   rules on it, and a drop is retried within the tracker's budget. *)
+let transmit_charges conds =
+  let charges = ref 0 in
+  let ok =
+    Sim.Conditions.transmit conds ~now:0 ~src:(Idspace.Point.of_int 1)
+      ~dst:(Idspace.Point.of_int 2) ~charge:(fun () -> incr charges)
+  in
+  (ok, !charges)
+
+let test_transmit_benign () =
+  let ok, charges = transmit_charges Sim.Conditions.inert in
+  Alcotest.(check bool) "delivered" true ok;
+  Alcotest.(check int) "one charge" 1 charges
+
+let test_transmit_drop_exhausts_budget () =
+  List.iter
+    (fun budget ->
+      let metrics = Sim.Metrics.create () in
+      let conds =
+        Sim.Conditions.activate ~metrics
+          (Sim.Conditions.make
+             ~faults:(Faults.Plan.uniform ~drop:1.0 ())
+             ~reliability:(Reliability.Policy.make ~max_retries:budget ())
+             ())
+      in
+      let ok, charges = transmit_charges conds in
+      let ctx what = Printf.sprintf "%s (budget %d)" what budget in
+      Alcotest.(check bool) (ctx "lost") false ok;
+      Alcotest.(check int) (ctx "1 + budget charges") (1 + budget) charges;
+      Alcotest.(check int) (ctx "retries") budget
+        (Sim.Metrics.get metrics Sim.Metrics.retry_attempted);
+      Alcotest.(check int) (ctx "exhausted") (if budget = 0 then 0 else 1)
+        (Sim.Metrics.get metrics Sim.Metrics.retry_exhausted))
+    [ 0; 1; 3 ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -254,6 +290,13 @@ let () =
           Alcotest.test_case "counters" `Quick test_metrics_counters;
           Alcotest.test_case "snapshot/diff phases" `Quick test_metrics_snapshot_phases;
           Alcotest.test_case "merge" `Quick test_metrics_merge;
+        ] );
+      ( "conditions",
+        [
+          Alcotest.test_case "transmit: benign is one charge" `Quick
+            test_transmit_benign;
+          Alcotest.test_case "transmit: drop 1.0 spends the budget" `Quick
+            test_transmit_drop_exhausts_budget;
         ] );
       ( "series",
         [
