@@ -1,11 +1,10 @@
 open Idspace
 
-(* Both sides live in flat sorted rings: [is_bad] is a binary search
-   over unboxed points and [bad_ids]/[bad_ring] are O(1)-ish snapshots
-   instead of set traversals. [good_cache] memoises the good-ID array
-   (the population is immutable; functional updates build new records
-   with a fresh cache). *)
-type t = { ring : Ring.t; bad : Ring.t; mutable good_cache : Point.t array option }
+(* All IDs and each side live in flat sorted rings: [is_bad] is a
+   binary search over unboxed points and [bad_ring] is a field read.
+   The good ring is built with the others, so the record is never
+   written after construction. *)
+type t = { ring : Ring.t; bad : Ring.t; good : Ring.t }
 
 let make ~good ~bad =
   let bad_ring = Ring.of_list bad in
@@ -18,7 +17,8 @@ let make ~good ~bad =
   let ring = Ring.of_list (good @ bad) in
   if Ring.cardinal ring <> List.length good + List.length bad then
     invalid_arg "Population.make: duplicate good IDs";
-  { ring; bad = bad_ring; good_cache = None }
+  (* One linear pass over the sorted ring, not a second sort. *)
+  { ring; bad = bad_ring; good = Ring.remove_batch bad ring }
 
 let generate rng ~n ~beta ~strategy =
   if beta < 0. || beta >= 1. then invalid_arg "Population.generate: beta out of [0,1)";
@@ -49,26 +49,18 @@ let beta_actual t = float_of_int (bad_count t) /. float_of_int (max 1 (n t))
 
 let all_ids t = Ring.to_sorted_array t.ring
 
-(* Ascending ring order (the seed's counter-clockwise prepend layout
-   was retired with the legacy-order shims at the 2026-08 digest
-   regeneration). PRNG-indexed sweeps rely on the layout, so it is
-   digest-relevant. *)
-let good_ids_cached t =
-  match t.good_cache with
-  | Some g -> g
-  | None ->
-      let acc = ref [] in
-      Ring.iter (fun p -> if not (Ring.mem p t.bad) then acc := p :: !acc) t.ring;
-      let g = Array.of_list (List.rev !acc) in
-      t.good_cache <- Some g;
-      g
-
-let good_ids t = Array.copy (good_ids_cached t)
+(* Ascending ring order. PRNG-indexed sweeps rely on the layout, so
+   it is digest-relevant. *)
+let good_ids t = Ring.to_sorted_array t.good
 
 let bad_ids t = Ring.to_sorted_array t.bad
 
 let remove_batch t ps =
-  { ring = Ring.remove_batch ps t.ring; bad = Ring.remove_batch ps t.bad; good_cache = None }
+  {
+    ring = Ring.remove_batch ps t.ring;
+    bad = Ring.remove_batch ps t.bad;
+    good = Ring.remove_batch ps t.good;
+  }
 
 let add_batch t ~good ~bad =
   let all = good @ bad in
@@ -81,9 +73,8 @@ let add_batch t ~good ~bad =
   (* [Ring.add_batch] absorbs intra-list duplicates; reject them. *)
   if Ring.cardinal ring <> Ring.cardinal t.ring + List.length all then
     invalid_arg "Population.add_batch: duplicate IDs in batch";
-  { ring; bad = Ring.add_batch bad t.bad; good_cache = None }
+  { ring; bad = Ring.add_batch bad t.bad; good = Ring.add_batch good t.good }
 
 let random_good rng t =
-  let good = good_ids_cached t in
-  if Array.length good = 0 then invalid_arg "Population.random_good: no good IDs";
-  good.(Prng.Rng.int rng (Array.length good))
+  if Ring.cardinal t.good = 0 then invalid_arg "Population.random_good: no good IDs";
+  Ring.random_member rng t.good

@@ -4,7 +4,13 @@
     ring of all IDs together with the adversary's subset. Components
     never branch on goodness except where the model allows (a bad ID
     may deviate arbitrarily; a good ID follows the protocol);
-    measurement code uses {!is_bad} to classify outcomes. *)
+    measurement code uses {!is_bad} to classify outcomes.
+
+    A population is immutable: the ring of all IDs, the bad ring and
+    the good ring are all built by the constructors ({!make},
+    {!generate}, {!add_batch}, {!remove_batch}), so every query below
+    is a read and a population can be shared across domains as it
+    is. *)
 
 open Idspace
 
@@ -38,17 +44,21 @@ val beta_actual : t -> float
     {!Placement.Omit}). *)
 
 val good_ids : t -> Point.t array
+(** The good IDs in ascending ring order, a fresh array: the ring of
+    all IDs minus {!bad_ring}. *)
+
 val bad_ids : t -> Point.t array
 val all_ids : t -> Point.t array
 
 val remove_batch : t -> Point.t list -> t
-(** Functional removal for churn, in one merged pass over the rings:
+(** Functional removal for churn, in one merged pass over each ring:
     O(n + k log k). Absent IDs are ignored. *)
 
 val add_batch : t -> good:Point.t list -> bad:Point.t list -> t
-(** Functional admission for churn, in one merged pass over the
-    rings: O(n + k log k). Raises [Invalid_argument] if any ID is
+(** Functional admission for churn, in one merged pass over each
+    ring: O(n + k log k). Raises [Invalid_argument] if any ID is
     already present or the lists contain duplicates. *)
 
 val random_good : Prng.Rng.t -> t -> Point.t
-(** A uniform good ID; raises [Invalid_argument] if none exist. *)
+(** A uniform good ID, one PRNG draw indexing {!good_ids}; raises
+    [Invalid_argument] if none exist. *)

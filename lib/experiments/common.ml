@@ -45,5 +45,3 @@ let run_trials_metrics rng ~metrics ~jobs ~trials f =
       Sim.Metrics.merge metrics m;
       v)
     out
-
-let warm_for_sharing g = ignore (Tinygroups.Group_graph.blue_leaders g)

@@ -61,10 +61,5 @@ val map_configs : Prng.Rng.t -> jobs:int -> 'a list -> ('a -> Prng.Rng.t -> 'b) 
     {!run_trials}: one work item (and one substream) per
     configuration, e.g. per [(n, beta)] cell of a table. [f] must
     confine mutation to its substream and to values it builds
-    itself; graphs handed in from outside must be warmed with
-    {!warm_for_sharing} first. *)
-
-val warm_for_sharing : Tinygroups.Group_graph.t -> unit
-(** Force the lazily memoized structure reachable from searches on
-    [g] — the blue-leader cache; overlay tables are immutable after
-    [make] — so the graph can be shared read-only across domains. *)
+    itself; group graphs, populations and overlays are immutable
+    after construction and can be shared as they are. *)

@@ -362,7 +362,6 @@ let run_mode ~jobs ~conditions ~cache wrng sz =
         live := Tinygroups.Epoch.primary epochs
       end
     end;
-    Common.warm_for_sharing !live;
     let seg_makespans =
       Common.map_configs (Prng.Rng.split wrng) ~jobs cohorts (fun cohort stream ->
           run_segment cohort stream sz ~segment ~graph:!live)

@@ -31,9 +31,6 @@ let run_e14 ?(jobs = 1) rng scale =
   let g2 =
     Tinygroups.Group_graph.build_direct ~params ~population:pop ~overlay ~member_oracle:h2 ()
   in
-  (* Both graphs are shared read-only across the fan-out below. *)
-  Common.warm_for_sharing g1;
-  Common.warm_for_sharing g2;
   let goods = Adversary.Population.good_ids pop in
   let metrics = Sim.Metrics.create () in
   let bad_count = Adversary.Population.bad_count pop in
@@ -45,8 +42,6 @@ let run_e14 ?(jobs = 1) rng scale =
   in
   let counts =
     Common.map_configs rng ~jobs configs (fun (spam_per_bad, which) stream ->
-        (* Each item builds its own pair: the pair's lazy bad-ring must
-           not be forced concurrently from several domains. *)
         let pair =
           match which with
           | `Paired -> Tinygroups.Membership.make_old_pair ~failure:`Majority g1 (Some g2)

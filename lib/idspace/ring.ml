@@ -161,7 +161,9 @@ let add_batch ps t =
         push inc.(!j);
         incr j
       done;
-      if !o = n then t else compact (Array.sub out 0 !o)
+      if !o = n then t
+      else if !o = n + m then compact out
+      else compact (Array.sub out 0 !o)
 
 let remove_batch ps t =
   match List.sort_uniq Point.compare ps with
@@ -170,22 +172,26 @@ let remove_batch ps t =
       let t = compacted t in
       let gone = Array.of_list ps in
       let m = Array.length gone and n = Array.length t.pts in
-      let out = Array.make n Point.zero in
-      let j = ref 0 and o = ref 0 in
-      for i = 0 to n - 1 do
-        let p = t.pts.(i) in
-        while !j < m && Point.compare gone.(!j) p < 0 do
-          incr j
+      (* Size the result exactly: no oversized buffer to copy down. *)
+      let present = Array.fold_left (fun k p -> if mem_sorted t.pts p then k + 1 else k) 0 gone in
+      if present = 0 then t
+      else if present = n then empty
+      else begin
+        let out = Array.make (n - present) Point.zero in
+        let j = ref 0 and o = ref 0 in
+        for i = 0 to n - 1 do
+          let p = t.pts.(i) in
+          while !j < m && Point.compare gone.(!j) p < 0 do
+            incr j
+          done;
+          if !j < m && Point.equal gone.(!j) p then incr j
+          else begin
+            out.(!o) <- p;
+            incr o
+          end
         done;
-        if !j < m && Point.equal gone.(!j) p then incr j
-        else begin
-          out.(!o) <- p;
-          incr o
-        end
-      done;
-      if !o = n then t
-      else if !o = 0 then empty
-      else compact (Array.sub out 0 !o)
+        compact out
+      end
 
 let successor_exn t x =
   if cardinal t = 0 then raise Not_found;

@@ -38,7 +38,9 @@ val add_batch : Point.t list -> t -> t
     Duplicates (within [ps] or against [t]) are absorbed. *)
 
 val remove_batch : Point.t list -> t -> t
-(** One-pass counterpart of k× {!remove}. *)
+(** One-pass counterpart of k× {!remove}: a binary search per point
+    sizes the result, then one merge fills it, O(n + k log n). Absent
+    points are ignored. *)
 
 val mem : Point.t -> t -> bool
 

@@ -194,9 +194,5 @@ let rec make ring =
       done
     end
   in
-  let max_hops =
-    let lg = int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.)) in
-    (2 * lg) + 8
-  in
-  Overlay_intf.make ~ring ~off ~adj ~neighbors_in:neighbors_of ~walk:{ Overlay_intf.run } ~max_hops
+  Overlay_intf.make ~ring ~off ~adj ~neighbors_in:neighbors_of ~walk:{ Overlay_intf.run }
     ~rebuild:make

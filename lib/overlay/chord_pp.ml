@@ -95,4 +95,4 @@ let rec make ?(salt = 0) ring =
     end
   in
   Overlay_intf.make ~ring ~off ~adj ~neighbors_in:base.Overlay_intf.neighbors_in
-    ~walk:{ Overlay_intf.run } ~max_hops:(base.Overlay_intf.max_hops * 2) ~rebuild:(make ~salt)
+    ~walk:{ Overlay_intf.run } ~rebuild:(make ~salt)

@@ -103,4 +103,4 @@ let rec make ring =
     end
   in
   Overlay_intf.make ~ring ~off ~adj ~neighbors_in:neighbors_of ~walk:{ Overlay_intf.run }
-    ~max_hops:(steps + 4) ~rebuild:make
+    ~rebuild:make

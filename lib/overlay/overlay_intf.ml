@@ -67,7 +67,6 @@ type t = {
       (** [route ~src ~key] is the inclusive search path from [src] to
           [suc key]: the points of [walk]. Every consecutive pair is a
           (directed) neighbour link. *)
-  max_hops : int;  (** Upper bound on path length (diameter proxy). *)
   rebuild : Ring.t -> t;
       (** [rebuild ring'] is the same construction, with the same
           parameters, over [ring']: the reconstruction after churn. *)
@@ -89,10 +88,10 @@ let table_get adj i = Int32.to_int (get32 adj (4 * i))
     entries; constructions fill it with [set32]. *)
 let table_create entries = Bytes.create (4 * entries)
 
-(** [make ~ring ~off ~adj ~neighbors_in ~walk ~max_hops ~rebuild] is
+(** [make ~ring ~off ~adj ~neighbors_in ~walk ~rebuild] is
     the view whose [neighbors] and [route] are read from the table and
     the walk. Every construction builds its value through this. *)
-let make ~ring ~off ~adj ~neighbors_in ~walk ~max_hops ~rebuild =
+let make ~ring ~off ~adj ~neighbors_in ~walk ~rebuild =
   let neighbors w =
     let r = Ring.rank ring w in
     if r < 0 then neighbors_in ring w
@@ -113,7 +112,7 @@ let make ~ring ~off ~adj ~neighbors_in ~walk ~max_hops ~rebuild =
       ();
     List.rev !path
   in
-  { ring; off; adj; neighbors; neighbors_in; walk; route; max_hops; rebuild }
+  { ring; off; adj; neighbors; neighbors_in; walk; route; rebuild }
 
 let responsible t key = Ring.successor_exn t.ring key
 

@@ -208,7 +208,9 @@ let init ?(conditions = Sim.Conditions.none) rng config =
    tracker circuit summaries associative, confused/suspect traces
    concatenate — every merge is slicing-invariant by construction
    (DESIGN.md §11), which is what the jobs-equivalence law in
-   test_epoch pins. *)
+   test_epoch pins. Everything else the slices read (the old pair and
+   its graphs, the new ring and overlay) is immutable after
+   construction. *)
 let build_next t ~old ~new_pop ~new_overlay ~member_oracle ~phase =
   let params = t.config.params in
   let new_ring = Population.ring new_pop in
@@ -216,13 +218,6 @@ let build_next t ~old ~new_pop ~new_overlay ~member_oracle ~phase =
   let phase_base =
     Prng.Rng.subkey t.stream_key (Int64.of_int ((2 * t.epoch_) + phase))
   in
-  (* Warm every lazily-built structure the slices read, so the
-     parallel region never performs a first Lazy.force or a
-     blue-cache build, which must not race (overlay tables are
-     immutable after [make]). *)
-  ignore (Lazy.force Membership.(old.bad_ring));
-  ignore (Group_graph.blue_leaders Membership.(old.g1));
-  Option.iter (fun g -> ignore (Group_graph.blue_leaders g)) Membership.(old.g2);
   let tracker_active = Reliability.Tracker.active t.conds.Sim.Conditions.tracker in
   let run_slice lo hi =
     let metrics = Sim.Metrics.create () in

@@ -6,7 +6,9 @@ type color = Blue | Red
 (* Flat representation, aligned to the population's sorted ring: the
    group led by the ID of rank [r] lives at [group_by_rank.(r)], and
    confused/suspect are rank-indexed bitmaps. A leader's rank is the
-   ring's own binary search, so the graph keeps no second index. *)
+   ring's own binary search, so the graph keeps no second index. Every
+   field, [blue] included, is computed by [make] and never written
+   again, so a graph can be shared across domains as it is. *)
 type t = {
   params : Params.t;
   population : Population.t;
@@ -15,7 +17,7 @@ type t = {
   group_by_rank : Group.t array;
   confused_bits : Bytes.t;
   suspect_bits : Bytes.t;
-  mutable blue_cache : Point.t array option;
+  blue : Point.t array;  (* blue leaders, ascending rank *)
 }
 
 let params t = t.params
@@ -49,16 +51,23 @@ let make ~params ~population ~overlay ~group_by_rank ~confused ~suspect =
   in
   List.iter (mark confused_bits "confused") confused;
   List.iter (mark suspect_bits "suspect") suspect;
-  {
-    params;
-    population;
-    overlay;
-    ring;
-    group_by_rank;
-    confused_bits;
-    suspect_bits;
-    blue_cache = None;
-  }
+  let red r = group_by_rank.(r).Group.health <> Group.Good || bit_get confused_bits r in
+  (* Ascending ring order, like every other leader enumeration. Sweeps
+     index the array with raw PRNG draws, so the layout is
+     digest-relevant. *)
+  let n_blue = ref 0 in
+  for r = 0 to n - 1 do
+    if not (red r) then incr n_blue
+  done;
+  let blue = Array.make !n_blue Point.zero in
+  let i = ref 0 in
+  for r = 0 to n - 1 do
+    if not (red r) then begin
+      blue.(!i) <- Ring.nth ring r;
+      incr i
+    end
+  done;
+  { params; population; overlay; ring; group_by_rank; confused_bits; suspect_bits; blue }
 
 module Builder = struct
   type b = {
@@ -66,29 +75,25 @@ module Builder = struct
     population : Population.t;
     member_oracle : Hashing.Oracle.t;
     ring : Ring.t;
-    mutable scratch : int array;  (* successor ranks of the draws *)
+    scratch : int array;  (* successor ranks of the draws *)
   }
 
   let create ~params ~population ~member_oracle =
     { params; population; member_oracle; ring = Population.ring population; scratch = Array.make 64 0 }
 
-  (* Fill [scratch] with the ranks of [suc(oracle(w, i))] for
-     [i = 1 .. draws], in draw order; returns [draws]. *)
-  let draw_ranks b w =
+  (* Draw the ranks of [suc(oracle(w, i))], [i = 1 .. draws], into
+     [scratch] (a group drawing more than it holds gets a fresh
+     buffer), then sort and deduplicate them in place. *)
+  let form_group b w =
     let ln_ln_estimate = Estimate.ln_ln_n b.ring w in
     let draws = Params.member_draws_estimated b.params ~ln_ln_estimate in
-    if Array.length b.scratch < draws then b.scratch <- Array.make (2 * draws) 0;
-    for i = 1 to draws do
-      let u = Point.of_int (Hashing.Oracle.draw_indexed b.member_oracle (w :> int) i) in
-      b.scratch.(i - 1) <- Ring.successor_rank b.ring u
-    done;
-    draws
-
-  let form_group b w =
-    let draws = draw_ranks b w in
     if draws = 0 then Group.form b.params b.population ~leader:w ~members:[]
     else begin
-      let s = b.scratch in
+      let s = if Array.length b.scratch < draws then Array.make draws 0 else b.scratch in
+      for i = 1 to draws do
+        let u = Point.of_int (Hashing.Oracle.draw_indexed b.member_oracle (w :> int) i) in
+        s.(i - 1) <- Ring.successor_rank b.ring u
+      done;
       (* Sort the dozen-or-so ranks in place (rank order is ring
          order) and squeeze out duplicates — no per-group lists. *)
       for i = 1 to draws - 1 do
@@ -117,8 +122,8 @@ let build_direct ?(jobs = 1) ~params ~population ~overlay ~member_oracle () =
   let n = Ring.cardinal ring in
   if n < 3 then invalid_arg "Group_graph.build_direct: population too small";
   (* Every group is a pure function of (ring, oracle, rank), so the
-     rank slices are independent: each gets its own builder (the
-     scratch buffer is the only mutable state) and the slices are
+     rank slices are independent: each gets its own builder (whose
+     scratch buffer is the only state written) and the slices are
      concatenated in rank order, byte-identical at every [jobs]. *)
   let group_by_rank =
     Array.concat
@@ -197,18 +202,6 @@ let color_of t p = if red_at t (leader_rank t p) then Red else Blue
 
 let hijacked t p = hijacked_at t (leader_rank t p)
 
-let mark_confused t p =
-  let r = Ring.rank t.ring p in
-  if r < 0 then invalid_arg "Group_graph.mark_confused: not a leader";
-  bit_set t.confused_bits r;
-  t.blue_cache <- None
-
-let mark_suspect t p =
-  let r = Ring.rank t.ring p in
-  if r < 0 then invalid_arg "Group_graph.mark_suspect: not a leader";
-  bit_set t.suspect_bits r;
-  t.blue_cache <- None
-
 let leaders t = Ring.to_sorted_array t.ring
 
 let n_groups t = Array.length t.group_by_rank
@@ -225,7 +218,7 @@ let confused_leaders t =
 (* -- iteration ------------------------------------------------------ *)
 
 (* Ring order, rank 0 upward — the seed implementation's Hashtbl
-   bucket order (and the lazy permutation that replayed it after the
+   bucket order (and the permutation that replayed it after the
    flat rewrite) was retired at the 2026-08 digest regeneration; see
    DESIGN.md §7 and the provenance appendix in EXPERIMENTS.md. The
    order is part of the digest contract: order-sensitive sweeps
@@ -283,22 +276,7 @@ let fraction_red t =
   let c = census t in
   float_of_int c.red /. float_of_int (max 1 c.total)
 
-let blue_leaders t =
-  match t.blue_cache with
-  | Some blue -> blue
-  | None ->
-      (* Ascending ring order, like every other leader enumeration
-         (the seed's counter-clockwise layout went with the legacy
-         shims at the digest regeneration). Sweeps index it with raw
-         PRNG draws, so the layout is digest-relevant. *)
-      let acc = ref [] in
-      let n = Array.length t.group_by_rank in
-      for r = n - 1 downto 0 do
-        if not (red_at t r) then acc := Ring.nth t.ring r :: !acc
-      done;
-      let blue = Array.of_list !acc in
-      t.blue_cache <- Some blue;
-      blue
+let blue_leaders t = t.blue
 
 let random_blue_leader rng t =
   let blue = blue_leaders t in

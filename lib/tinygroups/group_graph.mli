@@ -13,6 +13,12 @@
     leader's rank with the ring's own binary search ({!Idspace.Ring.rank}),
     so the ring is the graph's only index.
 
+    A graph is immutable once built: colours are fixed at construction
+    (S1–S3) and for the graph's epoch (§III-A), and the constructors
+    compute every derived index, the ascending {!blue_leaders} array
+    included. A graph can therefore be read from many domains at
+    once with no warm-up.
+
     Two constructors exist:
     - {!build_direct} wires members straight from the hash oracle and
       the true ring — the static case of §II and the assumed-correct
@@ -131,16 +137,6 @@ val hijacked : t -> Point.t -> bool
 (** The group has lost its good majority (or is confused): the
     physical notion of adversary control. *)
 
-val mark_confused : t -> Point.t -> unit
-(** Flag a leader as confused after construction (fault injection,
-    diagnosed link corruption). Invalidates the blue-leader cache.
-    @raise Invalid_argument if the point is not a leader. *)
-
-val mark_suspect : t -> Point.t -> unit
-(** Flag a leader's routes as retry-exhausted after construction.
-    Invalidates the blue-leader cache.
-    @raise Invalid_argument if the point is not a leader. *)
-
 val leaders : t -> Point.t array
 (** All leaders, i.e. the population's IDs. *)
 
@@ -180,10 +176,11 @@ val census : t -> census
 val fraction_red : t -> float
 
 val blue_leaders : t -> Point.t array
-(** All blue-group leaders in ascending ring order (memoised;
-    invalidated by {!mark_confused} and {!mark_suspect}). Sweeps
-    index the array with raw PRNG draws, so the layout is
-    digest-relevant. Callers must not mutate the array. *)
+(** All blue-group leaders in ascending ring order: the leaders of
+    the ranks where {!red_at} is [false], computed once by the
+    constructors (O(1) here). Sweeps index the array with raw PRNG
+    draws, so the layout is digest-relevant. Callers must not mutate
+    the array. *)
 
 val random_blue_leader : Prng.Rng.t -> t -> Point.t option
 (** A uniform blue-group leader; [None] if every group is red. *)

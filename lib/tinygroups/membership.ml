@@ -5,12 +5,9 @@ type old_pair = {
   g1 : Group_graph.t;
   g2 : Group_graph.t option;
   failure : Secure_route.failure_notion;
-  bad_ring : Ring.t Lazy.t;
 }
 
-let make_old_pair ?(failure = `Conservative) g1 g2 =
-  let bad_ring = lazy (Population.bad_ring (Group_graph.population g1)) in
-  { g1; g2; failure; bad_ring }
+let make_old_pair ?(failure = `Conservative) g1 g2 = { g1; g2; failure }
 
 type resolution = Resolved of Point.t | Hijacked_lookup
 
@@ -88,7 +85,7 @@ let verification_search ?(conditions = Sim.Conditions.inert) rng metrics pair
 (* The adversary's most credible lie after a fully hijacked lookup:
    its own ID nearest clockwise of the point. *)
 let adversary_plant pair ~point =
-  let bad_ring = Lazy.force pair.bad_ring in
+  let bad_ring = Population.bad_ring (old_population pair) in
   if Ring.cardinal bad_ring = 0 then None
   else Some (Ring.successor_exn bad_ring point)
 

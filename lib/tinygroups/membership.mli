@@ -30,10 +30,11 @@ type old_pair = private {
       (** [None] runs the naive single-graph protocol — the ablation
           showing why two graphs are necessary (§III). *)
   failure : Secure_route.failure_notion;
-  bad_ring : Idspace.Ring.t Lazy.t;
-      (** The adversary's IDs in the old population, as a ring (for
-          nearest-plant queries). *)
 }
+(** Immutable, like the graphs it holds: the adversary's plants are
+    found in the old population's bad ring
+    ({!Adversary.Population.bad_ring}), so a pair can be read from
+    many domains at once with no warm-up. *)
 
 val make_old_pair :
   ?failure:Secure_route.failure_notion ->

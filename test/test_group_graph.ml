@@ -164,7 +164,7 @@ let test_blue_leaders_cache () =
   let _, g = make ~beta:0.2 () in
   let b1 = Tinygroups.Group_graph.blue_leaders g in
   let b2 = Tinygroups.Group_graph.blue_leaders g in
-  Alcotest.(check bool) "memoised (same array)" true (b1 == b2);
+  Alcotest.(check bool) "built once (same array)" true (b1 == b2);
   Array.iter
     (fun w ->
       Alcotest.(check bool) "every cached leader is blue" true
@@ -195,38 +195,45 @@ let test_confusion_makes_red () =
   let c = Tinygroups.Group_graph.census g2 in
   Alcotest.(check int) "census sees one confused" 1 c.confused_
 
-let test_mark_confused_invalidates_blue_cache () =
-  (* Regression: the blue-leader cache must not serve a stale array
-     after a post-build marking. *)
-  let _, g = make ~n:64 ~beta:0.0 () in
+(* Colours are fixed when a graph is made: confused and suspect marks
+   go in through [assemble], and the marked graph's blue leaders,
+   census and searches see them while the unmarked graph is
+   untouched. *)
+let test_assemble_marks_fix_colours () =
+  let pop, g = make ~n:64 ~beta:0.0 () in
   let blue_before = Array.copy (Tinygroups.Group_graph.blue_leaders g) in
   let victim = blue_before.(7) in
   let src = blue_before.(20) in
-  Alcotest.(check bool) "search reaches the victim's arc before marking" true
-    (Tinygroups.Secure_route.succeeded
-       (Tinygroups.Secure_route.search g ~failure:`Majority ~src ~key:victim));
-  Tinygroups.Group_graph.mark_confused g victim;
-  let blue_after = Tinygroups.Group_graph.blue_leaders g in
+  let reaches g =
+    Tinygroups.Secure_route.succeeded
+      (Tinygroups.Secure_route.search g ~failure:`Majority ~src ~key:victim)
+  in
+  Alcotest.(check bool) "search reaches the victim's arc on the unmarked graph" true
+    (reaches g);
+  let marked =
+    Tinygroups.Group_graph.assemble ~params ~population:pop
+      ~overlay:(Tinygroups.Group_graph.overlay g) ~groups:(Tinygroups.Group_graph.groups g)
+      ~confused:[ victim ] ~suspect:[ src ] ()
+  in
+  let blue_after = Tinygroups.Group_graph.blue_leaders marked in
   Alcotest.(check int) "one fewer blue leader"
     (Array.length blue_before - 1)
     (Array.length blue_after);
-  Alcotest.(check bool) "marked leader dropped from the cache" false
+  Alcotest.(check bool) "confused leader left the blue leaders" false
     (Array.exists (Point.equal victim) blue_after);
-  Alcotest.(check bool) "marked leader is red" true
-    (Tinygroups.Group_graph.color_of g victim = Tinygroups.Group_graph.Red);
-  Alcotest.(check bool) "census counts the confusion" true
-    ((Tinygroups.Group_graph.census g).confused_ = 1);
-  (* A search routed after the marking sees the new colors: the
-     victim's own arc is now behind a red group. *)
-  Alcotest.(check bool) "search into the marked arc now fails" false
-    (Tinygroups.Secure_route.succeeded
-       (Tinygroups.Secure_route.search g ~failure:`Majority ~src ~key:victim));
-  (* mark_suspect also invalidates (cheap safety even though suspects
-     stay blue); the census must pick the flag up. *)
-  Tinygroups.Group_graph.mark_suspect g src;
-  Alcotest.(check bool) "suspect flagged" true (Tinygroups.Group_graph.is_suspect g src);
+  Alcotest.(check bool) "confused leader is red" true
+    (Tinygroups.Group_graph.color_of marked victim = Tinygroups.Group_graph.Red);
+  let c = Tinygroups.Group_graph.census marked in
+  Alcotest.(check int) "census counts the confusion" 1 c.confused_;
+  Alcotest.(check int) "census counts the suspect" 1 c.suspect_;
+  (* The victim's own arc is behind a red group in the marked graph. *)
+  Alcotest.(check bool) "search into the confused arc fails" false (reaches marked);
+  Alcotest.(check bool) "suspect flagged" true
+    (Tinygroups.Group_graph.is_suspect marked src);
   Alcotest.(check bool) "suspect stays blue" true
-    (Array.exists (Point.equal src) (Tinygroups.Group_graph.blue_leaders g))
+    (Array.exists (Point.equal src) blue_after);
+  Alcotest.(check bool) "unmarked graph unchanged" true
+    (Tinygroups.Group_graph.blue_leaders g = blue_before && reaches g)
 
 let test_assemble_validations () =
   let pop, g = make ~n:32 ~beta:0.0 () in
@@ -361,10 +368,13 @@ let prop_point_queries_match_ranks =
       in
       let ring = Adversary.Population.ring pop in
       let overlay = Overlay.Chord.make ring in
-      let g = G.build_direct ~params ~population:pop ~overlay ~member_oracle:oracle () in
-      for _ = 1 to 3 do
-        G.mark_confused g (Ring.nth ring (Prng.Rng.int r n))
-      done;
+      let built = G.build_direct ~params ~population:pop ~overlay ~member_oracle:oracle () in
+      let marks () = List.init 3 (fun _ -> Ring.nth ring (Prng.Rng.int r n)) in
+      let assemble ~confused ~suspect =
+        G.assemble ~params ~population:pop ~overlay ~groups:(G.groups built) ~confused
+          ~suspect ()
+      in
+      let g = assemble ~confused:(marks ()) ~suspect:[] in
       let leader_ok p =
         let rank = Ring.rank ring p in
         G.group_of g p == G.group_at g rank
@@ -376,10 +386,12 @@ let prop_point_queries_match_ranks =
         raises Not_found (fun () -> G.group_of g p)
         && raises Not_found (fun () -> G.color_of g p)
         && raises Not_found (fun () -> G.hijacked g p)
-        && raises (Invalid_argument "Group_graph.mark_confused: not a leader") (fun () ->
-               G.mark_confused g p)
-        && raises (Invalid_argument "Group_graph.mark_suspect: not a leader") (fun () ->
-               G.mark_suspect g p)
+        && raises
+             (Invalid_argument "Group_graph.assemble: confused leader not in population")
+             (fun () -> assemble ~confused:[ p ] ~suspect:[])
+        && raises
+             (Invalid_argument "Group_graph.assemble: suspect leader not in population")
+             (fun () -> assemble ~confused:[] ~suspect:[ p ])
       in
       let rec off_ring () =
         let p = Point.random r in
@@ -387,6 +399,70 @@ let prop_point_queries_match_ranks =
       in
       Array.for_all leader_ok (G.leaders g)
       && List.for_all off_ring_ok (List.init 20 (fun _ -> off_ring ())))
+
+(* The indices a graph and its population build when made must equal
+   a fresh scan: the blue leaders are the ranks that are not red, in
+   rank order, and the good IDs are the ring minus the bad ring. The
+   law covers every way a graph is made: [build_direct], [assemble]
+   with random marks, churn batches, and epoch transitions benign and
+   under a drop plan masked by retries (which leaves suspect
+   routes). *)
+let indices_fresh g =
+  let module G = Tinygroups.Group_graph in
+  let module P = Adversary.Population in
+  let leaders = G.leaders g in
+  let blue = ref [] in
+  for r = G.n_groups g - 1 downto 0 do
+    if not (G.red_at g r) then blue := leaders.(r) :: !blue
+  done;
+  let pop = G.population g in
+  let bad = P.bad_ring pop in
+  G.blue_leaders g = Array.of_list !blue
+  && P.good_ids pop
+     = Array.of_list
+         (Array.fold_right
+            (fun p acc -> if Ring.mem p bad then acc else p :: acc)
+            (P.all_ids pop) [])
+
+let prop_indices_match_fresh_scan =
+  QCheck.Test.make ~name:"blue_leaders and good_ids equal a fresh scan" ~count:6
+    QCheck.(pair small_int (int_range 64 128))
+    (fun (seed, n) ->
+      let module G = Tinygroups.Group_graph in
+      let r = Prng.Rng.create seed in
+      let _, g = Experiments.Common.build_tiny (Prng.Rng.split r) ~n ~beta:0.2 () in
+      let _, g' = Experiments.Common.build_tiny (Prng.Rng.split r) ~n ~beta:0.2 () in
+      let leaders = G.leaders g in
+      let pick k = List.init k (fun _ -> leaders.(Prng.Rng.int r n)) in
+      let marked =
+        G.assemble ~params:(G.params g) ~population:(G.population g) ~overlay:(G.overlay g)
+          ~groups:(G.groups g) ~confused:(pick 8) ~suspect:(pick 8) ()
+      in
+      let departed, _ =
+        Tinygroups.Dynamic.depart_many g ~ids:(List.sort_uniq Point.compare (pick 6))
+      in
+      let joined, _ =
+        Tinygroups.Dynamic.join_many (Prng.Rng.split r) (Sim.Metrics.create ()) g
+          ~old_pair:(Tinygroups.Membership.make_old_pair ~failure:`Majority g (Some g'))
+          ~member_oracle:oracle
+          ~ids:(List.init 6 (fun _ -> (Point.random r, Prng.Rng.bernoulli r 0.3)))
+      in
+      let advanced conditions =
+        let e =
+          Tinygroups.Epoch.init ~conditions (Prng.Rng.create seed)
+            (Tinygroups.Epoch.default_config ~n)
+        in
+        Tinygroups.Epoch.advance e;
+        Tinygroups.Epoch.primary e :: Option.to_list (Tinygroups.Epoch.secondary e)
+      in
+      let masked =
+        Sim.Conditions.make
+          ~faults:(Faults.Plan.with_seed (Faults.Plan.uniform ~drop:0.15 ()) 42L)
+          ~reliability:(Reliability.Policy.make ~seed:42L ~max_retries:8 ())
+          ()
+      in
+      List.for_all indices_fresh
+        ([ g; marked; departed; joined ] @ advanced Sim.Conditions.none @ advanced masked))
 
 let prop_determinism =
   QCheck.Test.make ~name:"construction is deterministic in the population" ~count:10
@@ -434,8 +510,8 @@ let () =
       ( "assemble",
         [
           Alcotest.test_case "confusion makes red (S2)" `Quick test_confusion_makes_red;
-          Alcotest.test_case "mark_confused invalidates blue cache" `Quick
-            test_mark_confused_invalidates_blue_cache;
+          Alcotest.test_case "confused/suspect marks fix colours" `Quick
+            test_assemble_marks_fix_colours;
           Alcotest.test_case "validations" `Quick test_assemble_validations;
           Alcotest.test_case "overlay ring must match" `Quick test_overlay_ring_must_match;
         ] );
@@ -444,5 +520,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_determinism;
           QCheck_alcotest.to_alcotest prop_iter_order_is_ring_order;
           QCheck_alcotest.to_alcotest prop_point_queries_match_ranks;
+          QCheck_alcotest.to_alcotest prop_indices_match_fresh_scan;
         ] );
     ]

@@ -193,6 +193,12 @@ let () =
           Alcotest.test_case "E10" `Quick
             (table_invariant "e10" (fun ~jobs rng scale ->
                  Experiments.Exp_sweep.run_e10 ~jobs rng scale));
+          Alcotest.test_case "E14" `Quick
+            (table_invariant "e14" (fun ~jobs rng scale ->
+                 Experiments.Exp_spam.run_e14 ~jobs rng scale));
+          Alcotest.test_case "E16" `Quick
+            (table_invariant "e16" (fun ~jobs rng scale ->
+                 Experiments.Exp_overlay.run_e16 ~jobs rng scale));
           Alcotest.test_case "E23" `Quick
             (table_invariant "e23" (fun ~jobs rng scale ->
                  Experiments.Exp_serve.run_e23 ~jobs rng scale));
