@@ -28,24 +28,69 @@ check-seeds:
 	done
 	@echo "seed sweep OK"
 
-# List every library module that nothing outside its own files and
-# test/ reaches, and fail if there is one. A module counts as reached
-# when another file names it as Lib.Module (Lib. for a library's main
-# module), or as Module. inside its own library or a file that opens
-# the library.
+# Fail if a library value is reached only from its own module and
+# test/. Every `val` (and `external`) of every lib/*/*.mli must be
+# named, outside comments and strings, by another module of lib, bin,
+# bench, examples or perfbench; a module without exported values
+# (overlay_intf.ml has no .mli) must be named itself. The scan matches
+# words, not bindings, so a common name reached elsewhere passes.
+# test/reach_allow.txt lists the exports only tests need, one
+# `Module.value reason` a line; an entry must name an existing value
+# that is still unreached, so the list cannot go stale.
 check-reach:
-	@src="lib bin bench examples perfbench"; orphans=""; \
-	for f in lib/*/*.ml; do \
-	  dir=$${f%/*}; lib=$${dir#lib/}; m=$$(basename $$f .ml); \
-	  L=$$(echo $$lib | sed 's/./\U&/'); M=$$(echo $$m | sed 's/./\U&/'); \
-	  if [ "$$m" = "$$lib" ]; then pat="\b$$L\."; else pat="\b$$L\.$$M\b"; fi; \
-	  users=$$( { grep -rlE --include='*.ml' --include='*.mli' "$$pat" $$src; \
-	    { ls $$dir/*.ml $$dir/*.mli; grep -rlE --include='*.ml' "\bopen!? $$L\b" $$src; } \
-	      | xargs grep -lE "(^|[^.[:alnum:]_])$$M\."; } | grep -v "^$$dir/$$m\.mli\?$$"); \
-	  [ -z "$$users" ] && orphans="$$orphans $$L.$$M"; \
-	done; \
-	if [ -n "$$orphans" ]; then echo "reached only from test/:$$orphans"; exit 1; fi; \
-	echo "check-reach OK"
+	@awk -v allowf=test/reach_allow.txt ' \
+	function strip(s,   o, re, t) { \
+	  o = ""; gsub(/'"'"'\\?"'"'"'/, " ", s); \
+	  while (s != "") { \
+	    re = instr ? "\\\\.|\"" : depth ? "\\(\\*|\\*\\)|\"" : "\\(\\*|\""; \
+	    if (!match(s, re)) { if (!instr && !depth) o = o s; break } \
+	    t = substr(s, RSTART, RLENGTH); \
+	    if (!instr && !depth) o = o substr(s, 1, RSTART - 1); \
+	    s = substr(s, RSTART + RLENGTH); \
+	    if (instr) instr = t != "\""; else if (t == "\"") instr = 1; \
+	    else if (t == "(*") depth++; else depth--; \
+	  } \
+	  return o \
+	} \
+	function index_words(s, n,   w, i, k) { \
+	  k = split(s, w, n); \
+	  for (i = 1; i <= k; i++) \
+	    if (w[i] != "" && !((w[i], stem) in seen)) { seen[w[i], stem]; hits[w[i]]++; at[w[i]] = stem } \
+	} \
+	function reached(w, st) { return hits[w] > 1 || (hits[w] == 1 && at[w] != st) } \
+	BEGIN { \
+	  while ((getline l < allowf) > 0) \
+	    if (l !~ /^(#|[ \t]*$$)/) { \
+	      split(l, f, /[ \t]+/); allow[f[1]] = 1; \
+	      if (split(l, f, /[ \t]+/) < 2) bad = bad "\n  " allowf ": no reason given for " f[1]; \
+	    } \
+	} \
+	FNR == 1 { \
+	  depth = instr = 0; stem = FILENAME; sub(/\.mli?$$/, "", stem); \
+	  m = stem; sub(/.*\//, "", m); mod[stem] = toupper(substr(m, 1, 1)) substr(m, 2); \
+	  if (FILENAME ~ /^lib\/.*\.ml$$/) mls[stem] = 1; \
+	} \
+	{ \
+	  code = strip($$0); \
+	  if (FILENAME ~ /\.mli$$/ && match(code, /^[ \t]*(val|external)[ \t]+([a-z_][A-Za-z0-9_'"'"']*|\([^)]*\))/)) { \
+	    v = substr(code, RSTART, RLENGTH); sub(/^[ \t]*[a-z]+[ \t]+/, "", v); gsub(/[ ()]/, "", v); \
+	    nv++; vname[nv] = v; vstem[nv] = stem; vat[nv] = FILENAME ":" FNR; exports[stem] = 1; \
+	  } \
+	  index_words(code, "[^A-Za-z0-9_'"'"']+"); \
+	  index_words(code, "[^-!$$%&*+./:<=>?@^|~]+"); \
+	} \
+	END { \
+	  for (i = 1; i <= nv; i++) { \
+	    key = mod[vstem[i]] "." vname[i]; valid[key] = 1; \
+	    if (key in allow) { if (reached(vname[i], vstem[i])) bad = bad "\n  " allowf ": " key " is now reached outside test/"; } \
+	    else if (!reached(vname[i], vstem[i])) bad = bad "\n  " vat[i] ": " key " has no caller outside its module and test/"; \
+	  } \
+	  for (s in mls) \
+	    if (!(s in exports) && !reached(mod[s], s)) bad = bad "\n  " s ".ml: module " mod[s] " is named by nothing outside its files and test/"; \
+	  for (k in allow) if (!(k in valid)) bad = bad "\n  " allowf ": " k " names no exported value"; \
+	  if (bad != "") { print "check-reach failed:" bad; exit 1 } \
+	  print "check-reach OK (" nv " exported values)" \
+	}' $$(find lib bin bench examples perfbench -name '*.ml' -o -name '*.mli' | sort)
 
 test: check
 

@@ -45,7 +45,13 @@ let parse_args () =
         | None -> die ("unknown scale " ^ v));
         go rest
     | "--only" :: v :: rest ->
-        only := Some (String.split_on_char ',' (String.lowercase_ascii v));
+        let ids = String.split_on_char ',' (String.lowercase_ascii v) in
+        List.iter
+          (fun id ->
+            if id <> "timings" && Experiments.Registry.find id = None then
+              die (Printf.sprintf "--only: unknown experiment %S" id))
+          ids;
+        only := Some ids;
         go rest
     | "--seed" :: v :: rest ->
         seed := int_arg "--seed" v;
@@ -56,6 +62,13 @@ let parse_args () =
         jobs := j;
         go rest
     | "--csv" :: dir :: rest ->
+        (* [save_csv] creates [dir] when it is missing, so [dir], or
+           else its parent, must take a new file; probed here so a bad
+           path fails before any experiment runs. *)
+        let parent = if Sys.file_exists dir then dir else Filename.dirname dir in
+        (match Report.check_writable (Filename.concat parent ".csv-probe") with
+        | Ok () -> ()
+        | Error msg -> die (Printf.sprintf "--csv %s: %s" dir msg));
         csv_dir := Some dir;
         go rest
     | "--skip-timings" :: rest ->

@@ -73,6 +73,12 @@ let () =
     | arg :: _ -> die ("unknown argument " ^ arg)
   in
   go (List.tl (Array.to_list Sys.argv));
+  (* An unwritable digest file fails here, not after every entry ran;
+     the probe leaves an existing file as it was. *)
+  (if not !agreement_only then
+     match Report.check_writable !out with
+     | Ok () -> ()
+     | Error msg -> die (Printf.sprintf "--out %s: %s" !out msg));
   if !agreement_only then print_agreement_table ()
   else begin
     let t0 = Unix.gettimeofday () in

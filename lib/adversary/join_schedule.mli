@@ -21,8 +21,8 @@ type t =
       (** Quiet for [period - active] epochs, then spend
           [stockpile × rate] in each of [active] epochs. [stockpile]
           models saved budget — §IV-A allows up to [3T/2] unspent
-          evaluations in hand, i.e. [stockpile = 3]
-          ({!Pow.Budget.adversary_stockpile_budget}). *)
+          evaluations in hand, i.e. [stockpile = 3] times
+          {!Pow.Budget.adversary_budget}. *)
   | Probing of { num : int; den : int }
       (** Spend the steady budget, but only while the quoted price is
           at most [num/den] of the fixed price — a titration attack on

@@ -47,13 +47,9 @@ let is_bad t p = Ring.mem p t.bad
 let bad_count t = Ring.cardinal t.bad
 let beta_actual t = float_of_int (bad_count t) /. float_of_int (max 1 (n t))
 
-let all_ids t = Ring.to_sorted_array t.ring
-
 (* Ascending ring order. PRNG-indexed sweeps rely on the layout, so
    it is digest-relevant. *)
 let good_ids t = Ring.to_sorted_array t.good
-
-let bad_ids t = Ring.to_sorted_array t.bad
 
 let remove_batch t ps =
   {

@@ -47,9 +47,6 @@ val good_ids : t -> Point.t array
 (** The good IDs in ascending ring order, a fresh array: the ring of
     all IDs minus {!bad_ring}. *)
 
-val bad_ids : t -> Point.t array
-val all_ids : t -> Point.t array
-
 val remove_batch : t -> Point.t list -> t
 (** Functional removal for churn, in one merged pass over each ring:
     O(n + k log k). Absent IDs are ignored. *)

@@ -37,5 +37,3 @@ let send ~sender_good ~receiver_count ~value ~forge =
         | _ -> None)
   in
   { delivered; messages = !messages }
-
-let relay_cost ~group_size ~hops = hops * group_size * group_size

@@ -31,8 +31,3 @@ val send :
 
     Values are compared with polymorphic equality; use simple payload
     types. *)
-
-val relay_cost : group_size:int -> hops:int -> int
-(** Message cost of routing across [hops] group-graph edges with
-    all-to-all exchanges: [hops * group_size^2] — the paper's
-    [O(D |G|^2)]. *)

@@ -46,17 +46,16 @@ type outcome = {
   messages : int;
       (** Poll requests plus responses, including retransmissions. *)
   bits : int;  (** 1 bit per message: binary BA's whole currency. *)
-  sample_size : int;  (** Peers polled per node per round. *)
+  sample_size : int;
+      (** Peers polled per node per round,
+          [min (n - 1) (ceil (sqrt n · log2 n))]: the [~O(sqrt n)] poll
+          budget. *)
   coin_flips : int;  (** Rounds that fell back on the global coin. *)
 }
 
 val tolerates : n:int -> t:int -> bool
 (** [8 * t < n]: the Byzantine fraction must sit well inside the
     sampling thresholds' slack. *)
-
-val sample_size : n:int -> int
-(** [min (n - 1) (ceil (sqrt n · log2 n))] — the [~O(sqrt n)]
-    poll budget per node per round. *)
 
 val max_rounds : n:int -> int
 (** Liveness backstop: [6 + 2 ceil (log2 n)] rounds, after which

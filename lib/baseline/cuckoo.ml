@@ -155,13 +155,3 @@ let simulate rng cfg ~max_rounds =
     if worst >= cfg.threshold then compromised := true
   done;
   { rounds_survived = !rounds; compromised = !compromised; max_bad_fraction = !max_frac }
-
-let min_surviving_group_size rng ~n ~beta ~rounds ~candidates =
-  let rec try_sizes = function
-    | [] -> None
-    | g :: rest ->
-        let cfg = default_config ~n ~beta ~group_size:g in
-        let o = simulate (Prng.Rng.split rng) cfg ~max_rounds:rounds in
-        if o.compromised then try_sizes rest else Some g
-  in
-  try_sizes (List.sort compare candidates)

@@ -50,8 +50,3 @@ type outcome = {
 val simulate : Prng.Rng.t -> config -> max_rounds:int -> outcome
 (** Run the join-leave attack for up to [max_rounds] rejoins or until
     some quorum region is compromised. *)
-
-val min_surviving_group_size :
-  Prng.Rng.t -> n:int -> beta:float -> rounds:int -> candidates:int list -> int option
-(** The smallest candidate group size that survives [rounds]
-    join-leave events (one trial each); [None] if none do. *)

@@ -30,18 +30,3 @@ let build_tiny rng ?(jobs = 1) ?(params = Tinygroups.Params.default)
 let map_configs rng ~jobs configs f =
   let jobs = max 1 (min jobs (List.length configs)) in
   Parallel.Pool.with_pool ~jobs (fun pool -> Parallel.Fanout.map pool rng configs ~f)
-
-let run_trials rng ~jobs ~trials f =
-  map_configs rng ~jobs (List.init trials Fun.id) (fun _ stream -> f stream)
-
-let run_trials_metrics rng ~metrics ~jobs ~trials f =
-  let out =
-    run_trials rng ~jobs ~trials (fun stream ->
-        let m = Sim.Metrics.create () in
-        (f stream m, m))
-  in
-  List.map
-    (fun (v, m) ->
-      Sim.Metrics.merge metrics m;
-      v)
-    out

@@ -31,35 +31,19 @@ val h1 : Hashing.Oracle.t
 (** The deployment's member oracle, shared so graphs are comparable
     across experiments. *)
 
-(** {1 Parallel trials}
+(** {1 Parallel configurations}
 
     Every quantitative claim is an average over independent seeded
-    runs, so experiments fan their trials (and independent
-    configuration rows) out over a {!Parallel.Pool}. All three
-    entry points return results in input order and derive one
-    {!Parallel.Fanout} substream per item up front, which makes the
-    output of any experiment identical for every [~jobs] value. *)
-
-val run_trials : Prng.Rng.t -> jobs:int -> trials:int -> (Prng.Rng.t -> 'a) -> 'a list
-(** [run_trials rng ~jobs ~trials f] runs [f] once per trial, each on
-    its own substream, at most [jobs] at a time. *)
-
-val run_trials_metrics :
-  Prng.Rng.t ->
-  metrics:Sim.Metrics.t ->
-  jobs:int ->
-  trials:int ->
-  (Prng.Rng.t -> Sim.Metrics.t -> 'a) ->
-  'a list
-(** Like {!run_trials} for trial bodies that account costs: each
-    trial gets a private {!Sim.Metrics.t} (so domains never share a
-    counter table) and all of them are {!Sim.Metrics.merge}d into
-    [metrics] afterwards, in trial order. *)
+    runs, so experiments fan their independent configuration rows out
+    over a {!Parallel.Pool}. Results come back in input order, and one
+    {!Parallel.Fanout} substream is derived per item up front, which
+    makes the output of any experiment identical for every [~jobs]
+    value. *)
 
 val map_configs : Prng.Rng.t -> jobs:int -> 'a list -> ('a -> Prng.Rng.t -> 'b) -> 'b list
-(** [map_configs rng ~jobs configs f] is the config-sweep shape of
-    {!run_trials}: one work item (and one substream) per
-    configuration, e.g. per [(n, beta)] cell of a table. [f] must
+(** [map_configs rng ~jobs configs f] runs [f] once per
+    configuration, at most [jobs] at a time, with one work item (and
+    one substream) per configuration, e.g. per [(n, beta)] cell of a table. [f] must
     confine mutation to its substream and to values it builds
     itself; group graphs, populations and overlays are immutable
     after construction and can be shared as they are. *)

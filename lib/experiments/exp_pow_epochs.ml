@@ -233,14 +233,6 @@ let run ?(jobs = 1) ?knobs rng scale =
   in
   { scale; knobs = k; rows }
 
-let find_row r ~controller ~strategy_label ~beta =
-  List.find_opt
-    (fun row ->
-      row.controller = controller
-      && Adversary.Join_schedule.label row.strategy = strategy_label
-      && Float.abs (row.beta -. beta) < 1e-9)
-    r.rows
-
 let to_table r =
   let k = r.knobs in
   let table =

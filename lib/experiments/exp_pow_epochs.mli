@@ -72,15 +72,6 @@ val run : ?jobs:int -> ?knobs:knobs -> Prng.Rng.t -> Scale.t -> report
 (** One substream per cell ({!Common.map_configs}): output identical
     at every [jobs]. *)
 
-val find_row :
-  report ->
-  controller:controller_kind ->
-  strategy_label:string ->
-  beta:float ->
-  row option
-(** Lookup by ({!Adversary.Join_schedule.label}, controller, beta) —
-    the acceptance test's accessor. *)
-
 val to_table : report -> Table.t
 (** Deterministic fields only (digest-checked via the golden net). *)
 

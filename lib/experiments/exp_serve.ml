@@ -177,7 +177,7 @@ let execute_op cohort client ~in_transition ~op ~name latrng =
 
 (* Per-user clients are re-drawn from the current population each
    segment: epoch turnover replaces every ID, so sessions re-connect
-   (and retarget) exactly as real clients would at an epoch switch. *)
+   exactly as real clients would at an epoch switch. *)
 let reconnect cohort stream sz =
   let goods =
     Adversary.Population.good_ids

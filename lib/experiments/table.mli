@@ -19,14 +19,11 @@ val print : t -> unit
 
 val render : t -> string
 
-val to_csv : t -> string
-(** Comma-separated rendering (header row + data rows; cells with
-    commas or quotes are quoted). Notes are emitted as trailing
-    [# ...] comment lines. *)
-
 val save_csv : t -> dir:string -> slug:string -> string
-(** Write the CSV to [dir/slug.csv] (creating [dir] if needed) and
-    return the path. *)
+(** Write the table as comma-separated values to [dir/slug.csv]
+    (creating [dir] if needed) and return the path: a header row,
+    the data rows (cells with commas or quotes are quoted), and the
+    notes as trailing [# ...] comment lines. *)
 
 val title : t -> string
 

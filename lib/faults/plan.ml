@@ -9,9 +9,6 @@ type rates = {
   reorder_ms : int;
 }
 
-let zero_rates =
-  { drop = 0.; duplicate = 0.; delay = 0.; delay_ms = (0, 0); reorder = 0.; reorder_ms = 1 }
-
 type rule = { src : Point.t option; dst : Point.t option; rates : rates }
 
 type cut = {
@@ -45,13 +42,6 @@ let make_rates ?(drop = 0.) ?(duplicate = 0.) ?(delay = 0.) ?(delay_ms = (10, 10
 let uniform ?drop ?duplicate ?delay ?delay_ms ?reorder ?reorder_ms () =
   let rates = make_rates ?drop ?duplicate ?delay ?delay_ms ?reorder ?reorder_ms () in
   { none with rules = [ { src = None; dst = None; rates } ] }
-
-let on_link ?src ?dst rates =
-  check_rate "drop" rates.drop;
-  check_rate "duplicate" rates.duplicate;
-  check_rate "delay" rates.delay;
-  check_rate "reorder" rates.reorder;
-  { none with rules = [ { src; dst; rates } ] }
 
 let partition ~side_a ?(side_b = []) ~from_time ?heal_time () =
   if side_a = [] then invalid_arg "Faults.Plan.partition: side_a must be non-empty";

@@ -42,9 +42,6 @@ type rates = {
   reorder_ms : int;  (** Deferral window of a reorder. *)
 }
 
-val zero_rates : rates
-(** All probabilities 0 (ranges are irrelevant then). *)
-
 type rule = {
   src : Point.t option;  (** [None] matches any sender. *)
   dst : Point.t option;  (** [None] matches any recipient. *)
@@ -90,9 +87,6 @@ val uniform :
     [reorder_ms] to 200. Raises [Invalid_argument] on a rate outside
     [0, 1] or an invalid range. *)
 
-val on_link : ?src:Point.t -> ?dst:Point.t -> rates -> t
-(** Rates restricted to links matching the given endpoints. *)
-
 val partition : side_a:Point.t list -> ?side_b:Point.t list -> from_time:int -> ?heal_time:int -> unit -> t
 (** A cut between the two sides (group-level partitions are cuts
     whose sides list whole groups' members). Requires
@@ -103,12 +97,9 @@ val crash_of : id:Point.t -> down_from:int -> ?recover_at:int -> unit -> t
     receives ({!Injector.decide}) and cannot be solicited into new
     groups ({!Injector.crashed}). *)
 
-val compose : t -> t -> t
+val ( ++ ) : t -> t -> t
 (** Union of the two plans' rules, cuts and crashes. The left
     operand's seed wins. *)
-
-val ( ++ ) : t -> t -> t
-(** Infix {!compose}. *)
 
 val with_seed : t -> int64 -> t
 

@@ -22,15 +22,7 @@ let query_string t s = Int64.of_int (Sha256.hmac62_string t.hkey s)
 
 let query_u62 t v = Int64.of_int (Sha256.hmac62_words2 t.hkey (hi32 v) (lo32 v))
 
-let query_pair t a b =
-  Int64.of_int (Sha256.hmac62_words4 t.hkey (hi32 a) (lo32 a) (hi32 b) (lo32 b))
-
 let query_indexed t w i =
   Int64.of_int (Sha256.hmac62_words4 t.hkey (hi32 w) (lo32 w) (int_hi32 i) i)
 
 let draw_indexed t w i = Sha256.hmac62_words4 t.hkey (int_hi32 w) w (int_hi32 i) i
-
-(* Keep only the top 53 bits: they are exactly representable, so the
-   result is always strictly below 1 (a direct 62-bit conversion can
-   round up to 1.0 at the top of the range). *)
-let to_unit_float v = Int64.to_float (Int64.shift_right_logical v 9) *. 0x1p-53

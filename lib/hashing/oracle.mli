@@ -53,12 +53,5 @@ val draw_indexed : t -> int -> int -> int
     also avoids the [int64] box of the result. The group-formation
     paths draw their members through it. *)
 
-val query_pair : t -> int64 -> int64 -> int64
-(** Oracle on a pair of numeric values (e.g. [sigma XOR r] is passed
-    pre-combined, but epoch-tagged queries use pairs). *)
-
-val to_unit_float : int64 -> float
-(** Map a 62-bit oracle output to the unit interval [0,1). *)
-
 val u62_mask : int64
 (** [2^62 - 1]: outputs satisfy [0 <= v <= u62_mask]. *)

@@ -8,14 +8,11 @@
     [ln(1/d) = Θ(ln n)] and [ln ln (1/d) = ln ln n + O(1)] — robust
     even when the adversary withholds IDs. *)
 
-val log_inverse_gap : Ring.t -> Point.t -> float
-(** [log_inverse_gap ring id] is [ln (1/d)] where [d] is the
-    fractional clockwise distance from [id] to its successor ID.
-    Requires at least two IDs. *)
-
 val ln_n : Ring.t -> Point.t -> float
-(** Estimate of [ln n] observed from [id]'s local gap:
-    [ln(1/d)], clamped to be at least 1. *)
+(** Estimate of [ln n] observed from [id]'s local gap: [ln(1/d)],
+    where [d] is the fractional clockwise distance from [id] to its
+    successor ID, clamped to be at least 1. Requires at least two
+    IDs. *)
 
 val ln_ln_n : Ring.t -> Point.t -> float
 (** Estimate of [ln ln n]: [ln (ln (1/d))], clamped to at least 1. *)

@@ -30,8 +30,6 @@ let of_list ps =
   | [] -> empty
   | ps -> compact (Array.of_list ps)
 
-let of_array ps = of_list (Array.to_list ps)
-
 let cardinal t = Array.length t.pts + Array.length t.dpts
 
 (* First index whose point is >= k; [Array.length pts] when none. *)
@@ -196,8 +194,6 @@ let remove_batch ps t =
 let successor_exn t x =
   if cardinal t = 0 then raise Not_found;
   at_split t (lower_bound t.pts x) (lower_bound t.dpts x)
-
-let successor t x = if cardinal t = 0 then None else Some (successor_exn t x)
 
 let strict_successor_exn t x =
   if cardinal t = 0 then raise Not_found;

@@ -17,8 +17,6 @@ type t
 val empty : t
 
 val of_list : Point.t list -> t
-val of_array : Point.t array -> t
-
 val add : Point.t -> t -> t
 (** Single-point join. The new ring shares the old one's sorted array
     and copies only the delta of points added since it was last
@@ -46,13 +44,11 @@ val mem : Point.t -> t -> bool
 
 val cardinal : t -> int
 
-val successor : t -> Point.t -> Point.t option
-(** [successor t x] is the first ID encountered at [x] or moving
-    clockwise from [x] (i.e. [suc(x)], which may be [x] itself when
-    [x] is an ID). [None] iff the ring is empty. *)
-
 val successor_exn : t -> Point.t -> Point.t
-(** @raise Not_found when empty. *)
+(** [successor_exn t x] is the first ID encountered at [x] or moving
+    clockwise from [x] (i.e. [suc(x)], which may be [x] itself when
+    [x] is an ID).
+    @raise Not_found when empty. *)
 
 val strict_successor : t -> Point.t -> Point.t option
 (** First ID strictly clockwise of [x]; wraps around. With one ID [p],

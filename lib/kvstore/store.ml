@@ -40,11 +40,6 @@ let epoch_index t = t.epoch_index
 let metrics t = t.metrics
 let last_op_stats t = t.last
 
-let live t name =
-  match Hashtbl.find_opt t.records name with
-  | Some r when not (String.equal r.value tombstone) -> Some r
-  | Some _ | None -> None
-
 let record_count t =
   Hashtbl.fold
     (fun _ r acc -> if String.equal r.value tombstone then acc else acc + 1)
@@ -63,8 +58,6 @@ let home t name = Ring.successor_exn (ring t) (key_of t name)
 
 let home_group t name =
   Tinygroups.Group_graph.group_at t.graph (Ring.successor_rank (ring t) (key_of t name))
-
-let version_of t name = Option.map (fun r -> r.version) (live t name)
 
 let replica_for grp =
   let member_bad =
@@ -261,14 +254,11 @@ let coverage rng t ~samples =
 (* --- Client sessions --------------------------------------------- *)
 
 type client = {
-  mutable store : t;
+  store : t;
   id : Point.t;
 }
 
 let connect t ~id = { store = t; id }
-let client_id c = c.id
-let client_store c = c.store
-let retarget c t = c.store <- t
 let put c ~name ~value = put_as c.store ~client:c.id ~name ~value
 let get c ~name = get_as c.store ~client:c.id ~name
 let delete c ~name = delete_as c.store ~client:c.id ~name

@@ -64,9 +64,6 @@ val key_of : t -> string -> Point.t
 val home : t -> string -> Point.t
 (** Leader of the group responsible for the name right now. *)
 
-val version_of : t -> string -> int option
-(** Current version of a live record. *)
-
 type op_stats = {
   hops : int;  (** Groups traversed to reach the home (1 on a hit). *)
   route_cached : bool;
@@ -98,18 +95,11 @@ type read_result =
 (** {2 Client sessions} *)
 
 type client
-(** A client identity bound to a store. Sessions survive epochs:
-    {!retarget} repoints one at the rehomed store. *)
+(** A client identity bound to a store. After a {!rehome}, connect
+    the client to the new store. *)
 
 val connect : t -> id:Point.t -> client
 (** [id] must be an ID of the graph's population. *)
-
-val client_id : client -> Point.t
-val client_store : client -> t
-
-val retarget : client -> t -> unit
-(** Repoint the session at a new store (typically the {!rehome} of
-    its current one). *)
 
 val put : client -> name:string -> value:string -> write_result
 (** Upsert: route from the client's group to the home group and

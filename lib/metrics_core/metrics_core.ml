@@ -23,11 +23,6 @@ let snapshot t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let of_snapshot s =
-  let t = create () in
-  List.iter (fun (name, v) -> add t name v) s;
-  t
-
 (* Merge-walk of two sorted assoc lists. *)
 let rec diff later earlier =
   match (later, earlier) with
@@ -57,10 +52,7 @@ let retry_exhausted = "retry.exhausted"
 let retry_backoff_ms = "retry.backoff_ms"
 let retry_circuit_opens = "retry.circuit_opens"
 let retry_acked = "retry.acked"
-let msg_group_comm = "msg.group_comm"
-let msg_routing = "msg.routing"
 let msg_membership = "msg.membership"
-let msg_propagation = "msg.propagation"
 let pow_hash_evals = "pow.hash_evals"
 let pow_good_evals = "pow.good_evals"
 let pow_bad_evals = "pow.bad_evals"

@@ -10,7 +10,7 @@
 
     A [t] must stay confined to one domain. Parallel trials give each
     trial its own [t] and fold the results back into the parent's
-    with {!merge} — see [Experiments.Common.run_trials]. *)
+    with {!merge}. *)
 
 type t
 
@@ -33,9 +33,6 @@ type snapshot
 
 val snapshot : t -> snapshot
 
-val of_snapshot : snapshot -> t
-(** A fresh mutable accumulator starting from frozen values. *)
-
 val diff : snapshot -> snapshot -> snapshot
 (** [diff later earlier] is the per-counter difference — the cost of
     the phase between the two snapshots. Counters absent from one
@@ -47,10 +44,8 @@ val found : snapshot -> string -> int
 val to_list : snapshot -> (string * int) list
 (** All counters, sorted by name. *)
 
-val pp_snapshot : Format.formatter -> snapshot -> unit
-
 val pp : Format.formatter -> t -> unit
-(** [pp fmt t] is [pp_snapshot fmt (snapshot t)]. *)
+(** One [name value] line per counter, sorted by name. *)
 
 (** Conventional counter names used across the libraries. *)
 
@@ -87,20 +82,9 @@ val retry_acked : string
 (** Deliveries the reliability layer observed succeed (its ack
     count), budgeted or not. *)
 
-val msg_group_comm : string
-(** Intra-group all-to-all messages (group communication, cost (i)). *)
-
-val msg_routing : string
-(** Inter-group all-to-all messages during secure routing
-    (cost (ii)). *)
-
 val msg_membership : string
 (** Messages spent making and verifying group-membership and
     neighbour requests (§III-A). *)
-
-val msg_propagation : string
-(** Messages of the random-string propagation protocol
-    (Lemma 12). *)
 
 val pow_hash_evals : string
 (** Hash evaluations spent on proof-of-work puzzles (§IV-A). *)

@@ -6,8 +6,6 @@
     (P4). This module measures each of them on a concrete overlay so
     experiments can report the constants they actually ran with. *)
 
-open Idspace
-
 type path_stats = {
   searches : int;
   mean_hops : float;
@@ -34,8 +32,3 @@ val congestion : Prng.Rng.t -> Overlay_intf.t -> searches:int -> float
     [max_id (traversals / searches) * n / ln n] — the constant in
     front of P4's [log n / n] bound (so O(1) output indicates
     congestion [O(log n / n)]). *)
-
-val traversal_counts :
-  Prng.Rng.t -> Overlay_intf.t -> searches:int -> (Point.t, int) Hashtbl.t
-(** The raw per-ID traversal counts behind {!congestion}; used by the
-    responsibility experiments (Lemma 1). *)

@@ -43,10 +43,6 @@ val map_slices : jobs:int -> n:int -> (int -> int -> 'a) -> 'a list
     caller whose per-index work is a pure function of the index gets
     the same result at every [jobs]. *)
 
-val shutdown : t -> unit
-(** Stop and join the workers. The pool must not be used afterwards.
-    Idempotent. *)
-
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and always shuts
     it down, including on exceptions. *)

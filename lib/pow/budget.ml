@@ -25,7 +25,3 @@ let adversary_rate ~beta =
 let adversary_budget ~beta ~n ~epoch_steps =
   let good_total = float_of_int n *. float_of_int (good_id_budget ~epoch_steps) in
   int_of_float (adversary_rate ~beta *. good_total)
-
-let adversary_stockpile_budget ~beta ~n ~epoch_steps =
-  let good_total = float_of_int n *. float_of_int (good_id_budget ~epoch_steps) in
-  int_of_float (adversary_rate ~beta *. good_total *. 3.)

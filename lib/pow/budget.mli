@@ -29,9 +29,3 @@ val adversary_budget : beta:float -> n:int -> epoch_steps:int -> int
     adversary holds a [beta] share of total power, so
     [beta/(1-beta)] times the aggregate good budget of [n] good
     participants. *)
-
-val adversary_stockpile_budget : beta:float -> n:int -> epoch_steps:int -> int
-(** Lemma 11's worst case: computing from the halfway point of the
-    previous epoch through the end of the current one —
-    [3T/2] steps' worth of the adversary's power (the paper notes the
-    resulting IDs may number up to [3 (1 + eps) beta n]). *)

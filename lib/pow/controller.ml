@@ -94,8 +94,6 @@ let ceiling_difficulty t =
   | Fixed -> fixed_difficulty t
   | Competitive -> t.cfg.ceiling_factor * fixed_difficulty t
 
-let difficulty t = t.price
-
 type window = {
   opening_price : int;
   closing_price : int;

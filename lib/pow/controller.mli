@@ -92,14 +92,10 @@ val competitive :
   config
 (** Defaults: [floor_shift = 4] (floor [T/32]), [ceiling_factor = 4],
     [subrounds = 8], [admission_slack = 0.25],
-    [surge_tolerance = 0.1]. Raises [Invalid_argument] on
-    out-of-range knobs (see {!validate}). *)
-
-val validate : config -> unit
-(** Raises [Invalid_argument] unless [epoch_steps >= 2],
-    [floor_shift >= 0] with a positive floor, [ceiling_factor >= 1],
-    [subrounds >= 1], [admission_slack > 0] and
-    [surge_tolerance >= 0]. *)
+    [surge_tolerance = 0.1]. Raises [Invalid_argument] unless
+    [epoch_steps >= 2], [floor_shift >= 0] with a positive floor,
+    [ceiling_factor >= 1], [subrounds >= 1], [admission_slack > 0]
+    and [surge_tolerance >= 0]. *)
 
 type t
 
@@ -118,9 +114,6 @@ val fixed_difficulty : t -> int
 val floor_difficulty : t -> int
 (** The competitive floor ([fixed_difficulty] for a [Fixed]
     controller). *)
-
-val difficulty : t -> int
-(** The entrance price the next admission would be quoted. *)
 
 type window = {
   opening_price : int;

@@ -22,6 +22,3 @@ let id_state _t ~minted_for ~at_epoch =
 
 let lemma11_bound ~beta ~n ~eps =
   int_of_float (ceil ((1. +. eps) *. beta *. float_of_int n))
-
-let lemma11_stockpile_bound ~beta ~n ~eps =
-  3 * lemma11_bound ~beta ~n ~eps

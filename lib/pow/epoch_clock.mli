@@ -28,7 +28,3 @@ val id_state : t -> minted_for:int -> at_epoch:int -> id_state
 val lemma11_bound : beta:float -> n:int -> eps:float -> int
 (** [(1 + eps) beta n]: the per-window cap on adversarial IDs
     (Lemma 11). *)
-
-val lemma11_stockpile_bound : beta:float -> n:int -> eps:float -> int
-(** [3 (1 + eps) beta n]: the cap when the adversary computes over
-    the maximal 3T/2 window (§IV-A's closing note). *)

@@ -60,14 +60,6 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
    perturb the stream consumed by the live fields. *)
 let bernoulli t p = if p <= 0. then false else if p >= 1. then true else float t < p
 
-let geometric t p =
-  if p <= 0. || p > 1. then invalid_arg "Rng.geometric: p must be in (0,1]";
-  if p = 1. then 0
-  else
-    let u = float t in
-    (* Inversion: floor(log(1-u) / log(1-p)). *)
-    int_of_float (floor (log1p (-.u) /. log1p (-.p)))
-
 let exponential t rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";
   -.log1p (-.float t) /. rate
@@ -79,10 +71,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))
 
 let sample_without_replacement t k n =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
@@ -112,8 +100,3 @@ let sample_without_replacement t k n =
     done;
     out
   end
-
-let permutation t n =
-  let a = Array.init n (fun i -> i) in
-  shuffle t a;
-  a

@@ -58,23 +58,13 @@ val bernoulli : t -> float -> bool
     from the stream, so degenerate rates in a composite schedule do
     not perturb the draws of its live rates. *)
 
-val geometric : t -> float -> int
-(** [geometric t p] is the number of failures before the first success
-    of a Bernoulli(p) sequence; requires [0 < p <= 1]. *)
-
 val exponential : t -> float -> float
 (** [exponential t rate] draws from Exp(rate); requires [rate > 0]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] draws [k] distinct integers
     uniformly from [0, n); requires [0 <= k <= n]. Result order is
     unspecified. *)
-
-val permutation : t -> int -> int array
-(** [permutation t n] is a uniform permutation of [0..n-1]. *)

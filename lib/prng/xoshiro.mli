@@ -20,7 +20,3 @@ val copy : t -> t
 
 val next : t -> int64
 (** 64 fresh pseudo-random bits. *)
-
-val jump : t -> unit
-(** Advance the state by 2^128 steps; used to carve non-overlapping
-    substreams out of one seed. *)

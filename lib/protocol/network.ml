@@ -7,7 +7,6 @@ type t = {
   handlers : (Point.t, t -> now:int -> Message.t -> unit) Hashtbl.t;
   conds : Sim.Conditions.active;
   mutable sent : int;
-  mutable delivered : int;
 }
 
 let create ?(conditions = Sim.Conditions.none) ?metrics ?(size = 1024) rng ~latency =
@@ -20,7 +19,6 @@ let create ?(conditions = Sim.Conditions.none) ?metrics ?(size = 1024) rng ~late
     handlers = Hashtbl.create (max 16 size);
     conds = Sim.Conditions.activate ?metrics conditions;
     sent = 0;
-    delivered = 0;
   }
 
 let register t id handler = Hashtbl.replace t.handlers id handler
@@ -28,9 +26,7 @@ let register t id handler = Hashtbl.replace t.handlers id handler
 let deliver_after t ~delay ~to_ message =
   Sim.Engine.schedule_after t.engine ~delay (fun () ->
       match Hashtbl.find_opt t.handlers to_ with
-      | Some handler ->
-          t.delivered <- t.delivered + 1;
-          handler t ~now:(Sim.Engine.now t.engine) message
+      | Some handler -> handler t ~now:(Sim.Engine.now t.engine) message
       | None -> ())
 
 (* Each attempt re-consults the injector at its own send time, so
@@ -71,4 +67,3 @@ let run ?deadline t =
 
 let now t = Sim.Engine.now t.engine
 let messages_sent t = t.sent
-let messages_delivered t = t.delivered

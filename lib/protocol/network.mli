@@ -63,8 +63,3 @@ val run : ?deadline:int -> t -> unit
 
 val now : t -> int
 val messages_sent : t -> int
-
-val messages_delivered : t -> int
-(** Copies actually handed to a registered handler — excludes
-    fault-dropped, partition-suppressed and addressee-less messages;
-    includes fault duplicates. *)

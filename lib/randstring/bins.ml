@@ -38,8 +38,6 @@ let offer t item =
   end
   else false
 
-let accepted t = t.stored
-
 let min_item t =
   List.fold_left
     (fun best item ->

@@ -35,9 +35,6 @@ val offer : t -> item -> bool
     never re-forwards (acceptance requires a {e strictly} smaller
     record). *)
 
-val accepted : t -> item list
-(** Everything accepted so far, unordered. *)
-
 val min_item : t -> item option
 (** The accepted item with the smallest output. *)
 

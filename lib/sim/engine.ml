@@ -34,5 +34,3 @@ let run ?until t =
                 f ()
             | None -> assert false))
   done
-
-let pending t = Heap.size t.queue

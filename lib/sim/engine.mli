@@ -24,6 +24,3 @@ val schedule_after : t -> delay:int -> (unit -> unit) -> unit
 val run : ?until:int -> t -> unit
 (** Dispatch events in order until the queue empties, or past step
     [until] when given (events at step [until] still run). *)
-
-val pending : t -> int
-(** Events still queued. *)

@@ -1,30 +1,3 @@
-let chernoff_upper ~mu ~delta =
-  if mu < 0. || delta <= 0. || delta >= 1. then invalid_arg "Bounds.chernoff_upper";
-  exp (-.(delta *. delta) *. mu /. 3.)
-
-let chernoff_lower ~mu ~delta =
-  if mu < 0. || delta <= 0. || delta >= 1. then invalid_arg "Bounds.chernoff_lower";
-  exp (-.(delta *. delta) *. mu /. 2.)
-
-(* Relative entropy D(a || p) between Bernoulli(a) and Bernoulli(p). *)
-let kl a p =
-  let term x y = if x = 0. then 0. else x *. log (x /. y) in
-  term a p +. term (1. -. a) (1. -. p)
-
-let bad_group_probability ~group_size ~beta =
-  if group_size <= 0 then invalid_arg "Bounds.bad_group_probability";
-  if beta <= 0. then 0.
-  else if beta >= 0.5 then 1.
-  else begin
-    let g = float_of_int group_size in
-    exp (-.g *. kl 0.5 beta)
-  end
-
-let mcdiarmid ~ci ~t =
-  let sum_sq = Array.fold_left (fun acc c -> acc +. (c *. c)) 0. ci in
-  if sum_sq <= 0. then invalid_arg "Bounds.mcdiarmid: zero variation budget";
-  exp (-2. *. t *. t /. sum_sq)
-
 let binomial_tail_ge ~n ~p ~k =
   if n < 0 || k < 0 then invalid_arg "Bounds.binomial_tail_ge";
   if k > n then 0.
@@ -46,11 +19,4 @@ let binomial_tail_ge ~n ~p ~k =
       acc := !acc +. exp lp
     done;
     Float.min 1. !acc
-  end
-
-let predicted_pf ~n ~k ~c =
-  if n < 3 then 1.
-  else begin
-    let e = k -. c in
-    if e <= 0. then 1. else 1. /. (log (float_of_int n) ** e)
   end

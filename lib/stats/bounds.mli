@@ -1,40 +1,11 @@
-(** The concentration bounds of the paper (§I-C, Theorems 1 and 2),
-    as executable calculators.
+(** The exact binomial tail behind the paper's concentration bounds
+    (§I-C, Theorems 1 and 2).
 
-    Experiments compare empirical tail frequencies against these
-    analytic bounds: e.g. E1 checks that the measured fraction of bad
-    groups sits below the Chernoff prediction that drives Lemma 7. *)
-
-val chernoff_upper : mu:float -> delta:float -> float
-(** [chernoff_upper ~mu ~delta] bounds
-    [Pr(X > (1 + delta) mu] by [exp (-delta^2 mu / 3)] for a sum of
-    independent indicators with mean [mu] and [0 < delta < 1]
-    (Theorem 1, upper tail). *)
-
-val chernoff_lower : mu:float -> delta:float -> float
-(** [Pr(X < (1 - delta) mu) <= exp (-delta^2 mu / 2)] (Theorem 1,
-    lower tail). *)
-
-val bad_group_probability : group_size:int -> beta:float -> float
-(** Chernoff bound on the probability that a group of [group_size]
-    u.a.r. members contains more than [(1 + delta) beta]-fraction bad
-    IDs, with the paper's threshold at a (strict) majority: the
-    probability that [Binomial(g, beta) >= g/2], bounded by
-    [exp (-g * D(1/2 || beta))] via the relative-entropy Chernoff
-    form (tight for this regime). *)
-
-val mcdiarmid : ci:float array -> t:float -> float
-(** [mcdiarmid ~ci ~t] is the Method of Bounded Differences tail
-    [exp (-2 t^2 / sum c_i^2)] (Theorem 2) for one-sided deviation
-    [t]. *)
+    Experiments compare empirical tail frequencies against it: e.g.
+    E1 checks the measured fraction of bad groups against the exact
+    probability that a group's bad members reach a majority. *)
 
 val binomial_tail_ge : n:int -> p:float -> k:int -> float
-(** Exact [Pr(Binomial(n, p) >= k)] by direct summation — used to
-    cross-check the Chernoff approximations for the tiny group sizes
-    the paper actually uses (where asymptotics are loose). *)
-
-val predicted_pf : n:int -> k:float -> c:float -> float
-(** The paper's target red-group rate [p_f <= 1 / log^k n] and the
-    derived search-failure rate [O(1 / log^(k-c) n)] share the shape
-    [1 / (ln n)^e]; [predicted_pf ~n ~k ~c] is [1 / (ln n)^(k - c)].
-    Use [c = 0.] for the group bound itself. *)
+(** Exact [Pr(Binomial(n, p) >= k)] by direct summation — exact where
+    the Chernoff approximations are loose, at the tiny group sizes
+    the paper actually uses. *)

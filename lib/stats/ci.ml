@@ -13,11 +13,4 @@ let wilson ~successes ~trials ~z =
 
 let wilson95 ~successes ~trials = wilson ~successes ~trials ~z:1.96
 
-let mean_ci95 xs =
-  let n = Array.length xs in
-  if n < 2 then invalid_arg "Ci.mean_ci95: need >= 2 samples";
-  let m = Descriptive.mean xs in
-  let se = Descriptive.std xs /. sqrt (float_of_int n) in
-  { lo = m -. (1.96 *. se); hi = m +. (1.96 *. se) }
-
 let pp fmt { lo; hi } = Format.fprintf fmt "[%.5f, %.5f]" lo hi

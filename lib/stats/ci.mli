@@ -6,15 +6,8 @@
 
 type interval = { lo : float; hi : float }
 
-val wilson : successes:int -> trials:int -> z:float -> interval
-(** Wilson score interval for a binomial proportion; [z] is the
-    normal quantile (1.96 for 95%). Requires [trials > 0] and
-    [0 <= successes <= trials]. *)
-
 val wilson95 : successes:int -> trials:int -> interval
-
-val mean_ci95 : float array -> interval
-(** Normal-approximation 95% interval for the mean of a sample of at
-    least two points. *)
+(** 95% Wilson score interval for a binomial proportion. Requires
+    [trials > 0] and [0 <= successes <= trials]. *)
 
 val pp : Format.formatter -> interval -> unit

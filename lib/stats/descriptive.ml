@@ -63,5 +63,3 @@ let summarize xs =
     p95 = q 0.95;
     p99 = q 0.99;
   }
-
-let of_ints xs = Array.map float_of_int xs

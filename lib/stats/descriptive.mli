@@ -19,14 +19,7 @@ val summarize : float array -> summary
 (** Summary of a non-empty sample. The input array is not modified. *)
 
 val mean : float array -> float
-val variance : float array -> float
-(** Sample variance (n-1 denominator); 0 for singleton samples. *)
-
-val std : float array -> float
 
 val quantile : float array -> float -> float
 (** [quantile xs q] for [q] in [0,1], by linear interpolation on the
     sorted sample. The input array is not modified. *)
-
-val of_ints : int array -> float array
-(** Convenience conversion. *)

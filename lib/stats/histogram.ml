@@ -19,8 +19,6 @@ let add t x =
   t.counts.(idx) <- t.counts.(idx) + 1;
   t.total <- t.total + 1
 
-let add_many t xs = Array.iter (add t) xs
-
 let count t i = t.counts.(i)
 let total t = t.total
 let bins t = Array.length t.counts
@@ -44,18 +42,6 @@ let chi_square_critical_99 ~dof =
   let k = float_of_int dof in
   let a = 2. /. (9. *. k) in
   k *. ((1. -. a +. (2.326 *. sqrt a)) ** 3.)
-
-let max_deviation t =
-  let b = Array.length t.counts in
-  if t.total = 0 then 0.
-  else begin
-    let expected = 1. /. float_of_int b in
-    Array.fold_left
-      (fun acc c ->
-        let f = float_of_int c /. float_of_int t.total in
-        Float.max acc (Float.abs (f -. expected)))
-      0. t.counts
-  end
 
 let render t ~width =
   let b = Array.length t.counts in
@@ -127,8 +113,6 @@ module Log = struct
     if x > t.max_seen then t.max_seen <- x
 
   let total t = t.total
-  let min_value t = if t.total = 0 then 0. else t.min_seen
-  let max_value t = if t.total = 0 then 0. else t.max_seen
 
   let quantile t q =
     if t.total = 0 then invalid_arg "Histogram.Log.quantile: empty";
@@ -178,7 +162,4 @@ module Log = struct
     t
 
   let buckets t = t.inner + 2
-
-  let relative_error t =
-    (10. ** (1. /. float_of_int t.per_decade)) -. 1.
 end

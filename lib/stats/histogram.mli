@@ -12,7 +12,6 @@ val create : ?lo:float -> ?hi:float -> bins:int -> unit -> t
     [lo < hi]. *)
 
 val add : t -> float -> unit
-val add_many : t -> float array -> unit
 
 val count : t -> int -> int
 (** Observations in bin [i]. *)
@@ -29,10 +28,6 @@ val chi_square_critical_99 : dof:int -> float
     distribution with [dof] degrees of freedom (Wilson–Hilferty
     approximation) — a statistic below this is consistent with
     uniformity at the 1% level. *)
-
-val max_deviation : t -> float
-(** Max over bins of [|observed/total - expected|] as a fraction;
-    a Kolmogorov-style coarse distance to uniform. *)
 
 val render : t -> width:int -> string
 (** ASCII bar rendering, one line per bin. *)
@@ -61,18 +56,12 @@ module Log : sig
   val add : t -> float -> unit
 
   val total : t -> int
-  val min_value : t -> float
-  (** Exact smallest sample added (0 when empty). *)
-
-  val max_value : t -> float
-  (** Exact largest sample added (0 when empty). *)
-
   val quantile : t -> float -> float
   (** [quantile t q] estimates the same order statistic
       {!Descriptive.quantile} interpolates around (0-based rank
       [q * (total - 1)]), by linear interpolation inside the bucket
-      holding that rank. Within {!relative_error} of the true sample
-      quantile (plus one bucket of interpolation slack at bucket
+      holding that rank. Within the geometry's relative resolution
+      [10^(1/per_decade) - 1] of the true sample quantile (plus one bucket of interpolation slack at bucket
       boundaries). Raises [Invalid_argument] when empty or
       [q] is outside [0, 1]. *)
 
@@ -84,8 +73,4 @@ module Log : sig
 
   val buckets : t -> int
   (** Total bucket count including the two sinks. *)
-
-  val relative_error : t -> float
-  (** The geometry's worst-case relative quantile error,
-      [10^(1/per_decade) - 1]. *)
 end

@@ -21,7 +21,6 @@ type config = {
   mode : mode;
   failure : Secure_route.failure_notion;
   placement : Placement.t;
-  spam_per_bad : int;
   size_drift : float;
   build_jobs : int;
   pow : pow_control option;
@@ -35,7 +34,6 @@ let default_config ~n =
     mode = Paired;
     failure = `Majority;
     placement = Placement.Uniform;
-    spam_per_bad = 0;
     size_drift = 0.;
     build_jobs = 1;
     pow = None;
@@ -60,7 +58,6 @@ type t = {
   mutable epoch_ : int;
   mutable g1 : Group_graph.t;
   mutable g2 : Group_graph.t option;
-  mutable spam_accepted_ : int;
   pow_state : (Pow.Controller.t * Join_schedule.t) option;
   mutable pow_last : Pow.Controller.window option;
   history_ : (int * Group_graph.census) Sim.Series.t;
@@ -181,7 +178,6 @@ let init ?(conditions = Sim.Conditions.none) rng config =
     epoch_ = 0;
     g1;
     g2;
-    spam_accepted_ = 0;
     pow_state;
     pow_last = !pow_last;
     history_ =
@@ -283,21 +279,6 @@ let advance t =
     | Paired ->
         Some (build_next t ~old ~new_pop ~new_overlay ~member_oracle:t.h2 ~phase:1)
   in
-  (* The state-inflation attack: bad IDs spam verification. *)
-  if t.config.spam_per_bad > 0 then begin
-    let victims = Population.good_ids (Group_graph.population Membership.(old.g1)) in
-    if Array.length victims > 0 then begin
-      let attempts = t.config.spam_per_bad * Population.bad_count new_pop in
-      for _ = 1 to attempts do
-        let victim = victims.(Prng.Rng.int t.rng (Array.length victims)) in
-        if
-          Membership.spam_accepted ~conditions:t.conds
-            (Prng.Rng.split t.rng) t.metrics_ old ~victim
-        then
-          t.spam_accepted_ <- t.spam_accepted_ + 1
-      done
-    end
-  end;
   t.g1 <- new1;
   t.g2 <- new2;
   t.epoch_ <- t.epoch_ + 1;
@@ -315,7 +296,6 @@ let primary t = t.g1
 let secondary t = t.g2
 let old_pair t = Membership.make_old_pair ~failure:t.config.failure t.g1 t.g2
 let metrics t = t.metrics_
-let spam_accepted_total t = t.spam_accepted_
 let pow_last_window t = t.pow_last
 let pow_controller t = Option.map fst t.pow_state
 let history t = Sim.Series.to_list t.history_

@@ -47,9 +47,6 @@ type config = {
   placement : Placement.t;
       (** Where each epoch's fresh adversarial IDs land; {!Placement.Uniform}
           is what PoW enforces. *)
-  spam_per_bad : int;
-      (** Bogus membership requests issued per bad ID per epoch
-          (Lemma 10's state-inflation attack). *)
   size_drift : float;
       (** Per-epoch population-size drift: each epoch's [n_j] is drawn
           uniformly from [[n (1 - drift), n (1 + drift)]]. The paper
@@ -140,9 +137,6 @@ val old_pair : t -> Membership.old_pair
 
 val metrics : t -> Sim.Metrics.t
 (** Cumulative message costs of all construction traffic. *)
-
-val spam_accepted_total : t -> int
-(** Bogus requests that victims erroneously accepted so far. *)
 
 val pow_last_window : t -> Pow.Controller.window option
 (** The admission window that minted the {e current} population —

@@ -55,8 +55,6 @@ val has_good_majority : t -> bool
 
 val contains : t -> Point.t -> bool
 
-val health_string : health -> string
-
 val member_is_bad : t -> int -> bool
 (** Ground-truth label of the [i]-th member. *)
 

@@ -194,10 +194,6 @@ let leader_rank t p =
 
 let group_of t p = Array.unsafe_get t.group_by_rank (leader_rank t p)
 
-let is_suspect t p =
-  let r = Ring.rank t.ring p in
-  r >= 0 && bit_get t.suspect_bits r
-
 let color_of t p = if red_at t (leader_rank t p) then Red else Blue
 
 let hijacked t p = hijacked_at t (leader_rank t p)
@@ -272,10 +268,6 @@ let census t =
     red = !red;
   }
 
-let fraction_red t =
-  let c = census t in
-  float_of_int c.red /. float_of_int (max 1 c.total)
-
 let blue_leaders t = t.blue
 
 let random_blue_leader rng t =
@@ -285,15 +277,3 @@ let random_blue_leader rng t =
 let mean_group_size t =
   let total = Array.fold_left (fun acc g -> acc + Group.size g) 0 t.group_by_rank in
   float_of_int total /. float_of_int (max 1 (Array.length t.group_by_rank))
-
-let groups_per_id t =
-  let counts : (Point.t, int) Hashtbl.t = Hashtbl.create (2 * n_groups t) in
-  iter_groups
-    (fun _ (g : Group.t) ->
-      Array.iter
-        (fun m ->
-          let c = Option.value ~default:0 (Hashtbl.find_opt counts m) in
-          Hashtbl.replace counts m (c + 1))
-        g.Group.members)
-    t;
-  counts

@@ -129,10 +129,6 @@ val color_of : t -> Point.t -> color
 (** Red iff the group is not {!Group.Good} or its leader is
     confused — the conservative classification of §II. *)
 
-val is_suspect : t -> Point.t -> bool
-(** Suspect routes degrade the group without making it red; see
-    {!assemble}. *)
-
 val hijacked : t -> Point.t -> bool
 (** The group has lost its good majority (or is confused): the
     physical notion of adversary control. *)
@@ -173,8 +169,6 @@ type census = {
 
 val census : t -> census
 
-val fraction_red : t -> float
-
 val blue_leaders : t -> Point.t array
 (** All blue-group leaders in ascending ring order: the leaders of
     the ranks where {!red_at} is [false], computed once by the
@@ -186,7 +180,3 @@ val random_blue_leader : Prng.Rng.t -> t -> Point.t option
 (** A uniform blue-group leader; [None] if every group is red. *)
 
 val mean_group_size : t -> float
-
-val groups_per_id : t -> (Point.t, int) Hashtbl.t
-(** How many groups each ID belongs to (Lemma 10's state audit);
-    IDs in no group are absent from the table. *)

@@ -80,20 +80,6 @@ val dual_search :
     lost waves). A zero-budget tracker is inert and byte-identical
     to the disabled one of {!Sim.Conditions.inert}. *)
 
-val verification_search :
-  ?conditions:Sim.Conditions.active ->
-  Prng.Rng.t ->
-  Sim.Metrics.t ->
-  old_pair ->
-  verifier:Point.t ->
-  point:Point.t ->
-  bool
-(** [verification_search rng m pair ~verifier ~point] is [true] when
-    the verifier's own searches (one per old graph, initiated from
-    its group when it leads one, else from its bootstrap group)
-    resolve truthfully — i.e. at least one search escapes the
-    adversary. *)
-
 val solicit_member :
   ?conditions:Sim.Conditions.active ->
   Prng.Rng.t ->

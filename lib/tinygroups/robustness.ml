@@ -36,43 +36,6 @@ let search_success rng g ~failure ~samples =
     mean_group_hops = float_of_int !hops /. float_of_int samples;
   }
 
-type id_coverage = {
-  ids_sampled : int;
-  keys_per_id : int;
-  threshold : float;
-  covered_ids : int;
-  covered_fraction : float;
-  per_id_rates : float array;
-}
-
-let id_coverage rng g ~failure ~ids ~keys ~threshold =
-  if ids <= 0 || keys <= 0 then invalid_arg "Robustness.id_coverage";
-  let sources = good_leaders g in
-  if Array.length sources = 0 then invalid_arg "Robustness.id_coverage: no good IDs";
-  let ids = min ids (Array.length sources) in
-  let picks = Prng.Rng.sample_without_replacement rng ids (Array.length sources) in
-  let rates =
-    Array.map
-      (fun i ->
-        let src = sources.(i) in
-        let ok = ref 0 in
-        for _ = 1 to keys do
-          let key = Point.random rng in
-          if (Secure_route.verdict g ~failure ~src ~key).Secure_route.ok then incr ok
-        done;
-        float_of_int !ok /. float_of_int keys)
-      picks
-  in
-  let covered = Array.fold_left (fun acc r -> if r >= 1. -. threshold then acc + 1 else acc) 0 rates in
-  {
-    ids_sampled = ids;
-    keys_per_id = keys;
-    threshold;
-    covered_ids = covered;
-    covered_fraction = float_of_int covered /. float_of_int ids;
-    per_id_rates = rates;
-  }
-
 type departure_report = {
   groups : int;
   survived : int;

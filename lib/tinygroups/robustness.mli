@@ -7,12 +7,9 @@
     - the red-group fraction (vs the target [1 / log^k n]),
     - the success probability of a search from a random group for a
       random key (Lemma 4: [1 - O(1 / log^(k-c) n)]),
-    - the fraction of IDs that can reach almost all resources
-      (Theorem 3's second bullet),
     - the survival of good majorities under intra-epoch departures
       (the [eps' = 1 - 2 (1 + delta) beta] margin of §III), and
     - the per-ID state cost (Lemma 10, Corollary 1). *)
-
 
 type search_report = {
   samples : int;
@@ -31,29 +28,6 @@ val search_success :
   search_report
 (** Sample searches from uniform random {e good}-led groups to
     uniform random keys. *)
-
-type id_coverage = {
-  ids_sampled : int;
-  keys_per_id : int;
-  threshold : float;
-  covered_ids : int;
-      (** IDs whose per-key success rate is at least
-          [1 - threshold]. *)
-  covered_fraction : float;
-  per_id_rates : float array;
-}
-
-val id_coverage :
-  Prng.Rng.t ->
-  Group_graph.t ->
-  failure:Secure_route.failure_notion ->
-  ids:int ->
-  keys:int ->
-  threshold:float ->
-  id_coverage
-(** Theorem 3, second bullet: for [ids] random good IDs, try [keys]
-    random keys each and check which IDs cover at least a
-    [1 - threshold] fraction. *)
 
 type departure_report = {
   groups : int;

@@ -95,11 +95,6 @@ let search_iterative g ~failure ~src ~key = search_with g ~failure ~iterative:tr
 
 let succeeded o = match o.result with Ok _ -> true | Error _ -> false
 
-let group_comm_cost g leader =
-  let grp = Group_graph.group_of g leader in
-  let s = Group.size grp in
-  s * s
-
 let expected_route_cost g ~hops =
   let m = Group_graph.mean_group_size g in
   float_of_int hops *. m *. m

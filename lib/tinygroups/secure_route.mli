@@ -77,10 +77,6 @@ val search_iterative :
 
 val succeeded : outcome -> bool
 
-val group_comm_cost : Group_graph.t -> Point.t -> int
-(** Message cost of one intra-group all-to-all operation of the group
-    led by the given point: [|G|^2] (cost (i) of §I). *)
-
 val expected_route_cost : Group_graph.t -> hops:int -> float
 (** [hops * mean(|G|)^2]: the paper's [O(D |G|^2)] with measured
     constants. *)

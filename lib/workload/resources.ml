@@ -3,13 +3,12 @@ open Idspace
 type t = {
   names : string array;
   keys : Point.t array;
-  oracle : Hashing.Oracle.t;
 }
 
 let make ~system_key ~names =
   let oracle = Hashing.Oracle.make ~system_key ~label:"resource-keys" in
   let keys = Array.map (fun name -> Point.of_u62 (Hashing.Oracle.query_string oracle name)) names in
-  { names; keys; oracle }
+  { names; keys }
 
 let synthetic ~system_key ~count ~prefix =
   make ~system_key ~names:(Array.init count (fun i -> prefix ^ string_of_int i))
@@ -17,8 +16,6 @@ let synthetic ~system_key ~count ~prefix =
 let count t = Array.length t.names
 let name t i = t.names.(i)
 let key t i = t.keys.(i)
-
-let lookup_key t name = Point.of_u62 (Hashing.Oracle.query_string t.oracle name)
 
 type popularity = Uniform_pop | Zipf of float
 

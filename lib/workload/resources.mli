@@ -24,9 +24,6 @@ val name : t -> int -> string
 val key : t -> int -> Point.t
 (** The ID-space key of resource [i]. *)
 
-val lookup_key : t -> string -> Point.t
-(** Key of an arbitrary name (need not be in the universe). *)
-
 type popularity = Uniform_pop | Zipf of float
 
 val sampler : Prng.Rng.t -> t -> popularity -> unit -> int

@@ -45,7 +45,7 @@ let test_population_generate () =
   Alcotest.(check (float 0.001)) "beta actual" 0.1 (Adversary.Population.beta_actual pop);
   Alcotest.(check int) "good + bad = n" 1000
     (Array.length (Adversary.Population.good_ids pop)
-    + Array.length (Adversary.Population.bad_ids pop))
+    + Idspace.Ring.cardinal (Adversary.Population.bad_ring pop))
 
 let test_population_labels () =
   let pop =
@@ -54,7 +54,7 @@ let test_population_labels () =
   in
   Array.iter
     (fun p -> Alcotest.(check bool) "bad is bad" true (Adversary.Population.is_bad pop p))
-    (Adversary.Population.bad_ids pop);
+    (Idspace.Ring.to_sorted_array (Adversary.Population.bad_ring pop));
   Array.iter
     (fun p -> Alcotest.(check bool) "good is good" false (Adversary.Population.is_bad pop p))
     (Adversary.Population.good_ids pop)

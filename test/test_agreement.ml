@@ -171,8 +171,20 @@ let test_broadcast_per_recipient_equivocation () =
     r.Agreement.Broadcast.delivered
 
 let test_relay_cost () =
-  Alcotest.(check int) "D * g^2" (7 * 11 * 11)
-    (Agreement.Broadcast.relay_cost ~group_size:11 ~hops:7)
+  (* Relaying across [hops] group-graph edges, one all-to-all transfer
+     per edge, costs [hops * g^2] messages: the paper's O(D |G|^2). *)
+  let hops = 7 and g = 11 in
+  let messages =
+    List.fold_left
+      (fun acc _ ->
+        let r =
+          Agreement.Broadcast.send ~sender_good:(Array.make g true) ~receiver_count:g ~value:0
+            ~forge:(fun ~recipient:_ -> None)
+        in
+        acc + r.Agreement.Broadcast.messages)
+      0 (List.init hops Fun.id)
+  in
+  Alcotest.(check int) "D * g^2" (hops * g * g) messages
 
 (* Commit-reveal group RNG. *)
 

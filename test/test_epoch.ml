@@ -155,8 +155,11 @@ let prop_history_is_external_census_fold =
    fault/reliability state merges back slicing-invariantly. The law
    is checked under benign conditions, a drop plan masked by a deep
    retry budget with circuit breaking (arming the injector and
-   tracker substreams), and a partition cutting real epoch-0 leaders
-   (arming the cut verdict path). *)
+   tracker substreams), a heavy drop plan with one retry that
+   exhausts searches (arming the suspect-trace path of
+   [Epoch.build_next], whose slices must concatenate in rank order),
+   and a partition cutting real epoch-0 leaders (arming the cut
+   verdict path). *)
 let epoch_state_equal a b =
   Tinygroups.Group_graph.equal (Tinygroups.Epoch.primary a) (Tinygroups.Epoch.primary b)
   && (match (Tinygroups.Epoch.secondary a, Tinygroups.Epoch.secondary b) with
@@ -167,6 +170,9 @@ let epoch_state_equal a b =
   && Sim.Metrics.snapshot (Tinygroups.Epoch.metrics a)
      = Sim.Metrics.snapshot (Tinygroups.Epoch.metrics b)
 
+(* Suspect groups of the primary graph, read from its census. *)
+let suspect_groups e = (Tinygroups.Group_graph.census (Tinygroups.Epoch.primary e)).suspect_
+
 let conditions_for kind ~seed ~n =
   match kind with
   | `Benign -> Sim.Conditions.none
@@ -175,6 +181,11 @@ let conditions_for kind ~seed ~n =
         ~faults:(Faults.Plan.with_seed (Faults.Plan.uniform ~drop:0.15 ()) 42L)
         ~reliability:
           (Reliability.Policy.make ~seed:42L ~max_retries:8 ~circuit_threshold:4 ())
+        ()
+  | `Lossy ->
+      Sim.Conditions.make
+        ~faults:(Faults.Plan.with_seed (Faults.Plan.uniform ~drop:0.5 ()) 42L)
+        ~reliability:(Reliability.Policy.make ~seed:42L ~max_retries:1 ())
         ()
   | `Partition ->
       (* Cut a dozen of the actual epoch-0 leaders off: leaders are a
@@ -197,7 +208,7 @@ let prop_advance_jobs_invariant =
     QCheck.(
       triple
         (oneofl [ 1; 7; 1337 ])
-        (oneofl [ `Benign; `Masked; `Partition ])
+        (oneofl [ `Benign; `Masked; `Lossy; `Partition ])
         (int_range 96 160))
     (fun (seed, kind, n) ->
       let run jobs =
@@ -215,7 +226,32 @@ let prop_advance_jobs_invariant =
         Tinygroups.Epoch.advance e;
         e
       in
-      epoch_state_equal (run 1) (run 4))
+      let one = run 1 in
+      epoch_state_equal one (run 4)
+      && (kind <> `Lossy || suspect_groups one > 0))
+
+let test_lossy_transition_suspects () =
+  (* The lossy kind of the law above, pinned: it must actually merge
+     suspect traces, or the law never reaches that branch. *)
+  let run jobs =
+    let cfg =
+      { (Tinygroups.Epoch.default_config ~n:128) with Tinygroups.Epoch.build_jobs = jobs }
+    in
+    let e =
+      Tinygroups.Epoch.init
+        ~conditions:(conditions_for `Lossy ~seed:7 ~n:128)
+        (Prng.Rng.create 7) cfg
+    in
+    Tinygroups.Epoch.advance e;
+    Tinygroups.Epoch.advance e;
+    e
+  in
+  let one = run 1 and four = run 4 in
+  Alcotest.(check bool) "jobs 1 == jobs 4" true (epoch_state_equal one four);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d suspect groups" (suspect_groups one))
+    true
+    (suspect_groups one > 0)
 
 let test_lone_leader_metric_counts () =
   (* Crash the entire old population for the transition window: every
@@ -256,15 +292,24 @@ let test_metrics_accumulate () =
     (Sim.Metrics.get (Tinygroups.Epoch.metrics e) Sim.Metrics.msg_membership > 0)
 
 let test_spam_accounting () =
-  let cfg =
-    { (Tinygroups.Epoch.default_config ~n:128) with Tinygroups.Epoch.spam_per_bad = 3 }
-  in
-  let e = Tinygroups.Epoch.init (rng ()) cfg in
+  (* Lemma 10's state-inflation attack on the pair an epoch leaves
+     behind: three bogus requests per bad ID against random good
+     victims. At beta 0.05 the victims' verification searches almost
+     never fail, so very little spam lands. *)
+  let e = Tinygroups.Epoch.init (rng ()) (Tinygroups.Epoch.default_config ~n:128) in
   Tinygroups.Epoch.advance e;
-  (* At beta 0.05 the verification searches almost never fail, so very
-     little spam should land; the counter must exist and be small. *)
-  let accepted = Tinygroups.Epoch.spam_accepted_total e in
-  Alcotest.(check bool) (Printf.sprintf "spam accepted %d small" accepted) true (accepted < 10)
+  let r = rng () in
+  let pop = Tinygroups.Group_graph.population (Tinygroups.Epoch.primary e) in
+  let victims = Adversary.Population.good_ids pop in
+  let accepted = ref 0 in
+  for _ = 1 to 3 * Adversary.Population.bad_count pop do
+    let victim = victims.(Prng.Rng.int r (Array.length victims)) in
+    if
+      Tinygroups.Membership.spam_accepted (Prng.Rng.split r) (Sim.Metrics.create ())
+        (Tinygroups.Epoch.old_pair e) ~victim
+    then incr accepted
+  done;
+  Alcotest.(check bool) (Printf.sprintf "spam accepted %d small" !accepted) true (!accepted < 10)
 
 let test_debruijn_overlay_mode () =
   let cfg =
@@ -293,6 +338,8 @@ let () =
       ( "parallel transition",
         [
           QCheck_alcotest.to_alcotest prop_advance_jobs_invariant;
+          Alcotest.test_case "lossy transition merges suspects" `Quick
+            test_lossy_transition_suspects;
           Alcotest.test_case "lone-leader fallback metric" `Quick
             test_lone_leader_metric_counts;
         ] );

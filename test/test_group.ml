@@ -38,8 +38,8 @@ let test_health_hijacked () =
     Tinygroups.Group.form params pop ~leader:(pt 0.1)
       ~members:[ pt 0.1; pt 0.2; pt 0.7; pt 0.8; pt 0.9 ]
   in
-  Alcotest.(check string) "hijacked" "hijacked"
-    (Tinygroups.Group.health_string g.Tinygroups.Group.health);
+  Alcotest.(check bool) "hijacked" true
+    (g.Tinygroups.Group.health = Tinygroups.Group.Hijacked);
   Alcotest.(check bool) "no good majority" false (Tinygroups.Group.has_good_majority g)
 
 let test_health_exact_half () =
@@ -145,7 +145,7 @@ let prop_form_bad_count_matches_labels =
         Adversary.Population.generate r ~n:200 ~beta:0.3
           ~strategy:Adversary.Placement.Uniform
       in
-      let all = Adversary.Population.all_ids pop in
+      let all = Idspace.Ring.to_sorted_array (Adversary.Population.ring pop) in
       let members =
         List.init size (fun _ -> all.(Prng.Rng.int r (Array.length all)))
       in
@@ -168,7 +168,7 @@ let prop_majority_consistent =
         Adversary.Population.generate r ~n:200 ~beta:0.4
           ~strategy:Adversary.Placement.Uniform
       in
-      let all = Adversary.Population.all_ids pop in
+      let all = Idspace.Ring.to_sorted_array (Adversary.Population.ring pop) in
       let members = List.init size (fun _ -> all.(Prng.Rng.int r (Array.length all))) in
       let g = Tinygroups.Group.form params pop ~leader:all.(0) ~members in
       let hij = g.Tinygroups.Group.health = Tinygroups.Group.Hijacked in

@@ -80,8 +80,8 @@ let test_ring_successor () =
     (Ring.predecessor ring (pt 0.05) |> Option.get)
 
 let test_ring_empty () =
-  Alcotest.(check bool) "no successor in empty ring" true
-    (Ring.successor Ring.empty (pt 0.5) = None)
+  Alcotest.check_raises "no successor in empty ring" Not_found (fun () ->
+      ignore (Ring.successor_exn Ring.empty (pt 0.5)))
 
 let test_ring_singleton () =
   let ring = Ring.of_list [ pt 0.5 ] in
@@ -177,7 +177,10 @@ let prop_ring_matches_reference =
             | q :: _ -> Some q
             | [] -> ( match !reference with q :: _ -> Some q | [] -> None)
           in
-          if Ring.successor !ring probe <> model_suc then ok := false)
+          let suc =
+            if Ring.cardinal !ring = 0 then None else Some (Ring.successor_exn !ring probe)
+          in
+          if suc <> model_suc then ok := false)
         ops;
       !ok)
 

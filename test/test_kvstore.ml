@@ -164,11 +164,16 @@ let test_version_and_names () =
   let g = build ~beta:0.0 () in
   let store = Kvstore.Store.create ~system_key:"kv-test" g in
   let client = Kvstore.Store.connect store ~id:(any_good_client g) in
-  Alcotest.(check (option int)) "absent" None (Kvstore.Store.version_of store "a");
+  let version name =
+    match Kvstore.Store.get client ~name with
+    | Kvstore.Store.Found { version; _ } | Kvstore.Store.Recovered { version; _ } -> Some version
+    | _ -> None
+  in
+  Alcotest.(check (option int)) "absent" None (version "a");
   ignore (Kvstore.Store.put client ~name:"a" ~value:"1");
   ignore (Kvstore.Store.put client ~name:"b" ~value:"2");
   ignore (Kvstore.Store.put client ~name:"a" ~value:"3");
-  Alcotest.(check (option int)) "bumped" (Some 2) (Kvstore.Store.version_of store "a");
+  Alcotest.(check (option int)) "bumped" (Some 2) (version "a");
   Alcotest.(check (list string)) "live names" [ "a"; "b" ]
     (List.sort compare (Kvstore.Store.names store))
 
@@ -186,8 +191,6 @@ let test_client_sessions_and_route_cache () =
   let m = Sim.Metrics.create () in
   let store = Kvstore.Store.create ~metrics:m ~system_key:"kv-test" g in
   let client = Kvstore.Store.connect store ~id:(any_good_client g) in
-  Alcotest.(check bool) "client remembers its id" true
-    (Idspace.Point.equal (Kvstore.Store.client_id client) (any_good_client g));
   ignore (Kvstore.Store.put client ~name:"hot" ~value:"v1");
   Alcotest.(check bool) "first route misses the cache" true
     (Sim.Metrics.get m Sim.Metrics.kv_route_cache_miss > 0);
@@ -201,14 +204,13 @@ let test_client_sessions_and_route_cache () =
   let stats = Kvstore.Store.last_op_stats store in
   Alcotest.(check bool) "hit reported" true stats.Kvstore.Store.route_cached;
   Alcotest.(check int) "hit takes one hop" 1 stats.Kvstore.Store.hops;
-  (* Rehome invalidates: the session retargets, the next route walks. *)
+  (* Rehome invalidates: a client of the new store walks its next route. *)
   let hits_before = Sim.Metrics.get m Sim.Metrics.kv_route_cache_hit in
   let migrated = Kvstore.Store.rehome store (Kvstore.Store.graph store) in
   Alcotest.(check int) "epoch index bumped" 1 (Kvstore.Store.epoch_index migrated);
   Alcotest.(check int) "invalidation counted" 1
     (Sim.Metrics.get m Sim.Metrics.kv_route_cache_invalidated);
-  Kvstore.Store.retarget client migrated;
-  Alcotest.(check bool) "retargeted" true (Kvstore.Store.client_store client == migrated);
+  let client = Kvstore.Store.connect migrated ~id:(any_good_client g) in
   (match Kvstore.Store.get client ~name:"hot" with
   | Kvstore.Store.Found { value; _ } -> Alcotest.(check string) "post-rehome read" "v1" value
   | _ -> Alcotest.fail "expected Found after rehome");

@@ -55,12 +55,7 @@ let test_indexed_vs_pair_encoding () =
 let test_pair_order_matters () =
   let h = oracle "pair" in
   Alcotest.(check bool) "pair is ordered" true
-    (Hashing.Oracle.query_pair h 1L 2L <> Hashing.Oracle.query_pair h 2L 1L)
-
-let test_to_unit_float () =
-  Alcotest.(check (float 1e-9)) "zero" 0. (Hashing.Oracle.to_unit_float 0L);
-  let almost_one = Hashing.Oracle.to_unit_float Hashing.Oracle.u62_mask in
-  Alcotest.(check bool) "mask maps below 1" true (almost_one < 1. && almost_one > 0.9999)
+    (Hashing.Oracle.query_indexed h 1L 2 <> Hashing.Oracle.query_indexed h 2L 1)
 
 let test_label_accessor () =
   Alcotest.(check string) "label" "h2" (Hashing.Oracle.label (oracle "h2"))
@@ -72,7 +67,7 @@ let test_uniformity_chi_square () =
   let hist = Stats.Histogram.create ~bins:32 () in
   for i = 0 to 19_999 do
     Stats.Histogram.add hist
-      (Hashing.Oracle.to_unit_float (Hashing.Oracle.query_u62 h (Int64.of_int i)))
+      (Int64.to_float (Hashing.Oracle.query_u62 h (Int64.of_int i)) *. 0x1p-62)
   done;
   let stat = Stats.Histogram.chi_square_uniform hist in
   let critical = Stats.Histogram.chi_square_critical_99 ~dof:31 in
@@ -125,15 +120,6 @@ let kat_indexed =
     ((5L, min_int), 2016319087087548094L);
   ]
 
-let kat_pair =
-  [
-    ((1L, 2L), 2176894815494425818L);
-    ((2L, 1L), 2666826899725548019L);
-    ((-1L, Int64.min_int), 2161567185954672089L);
-    ((Int64.min_int, -1L), 1822768722345165713L);
-    ((pow_input, 7L), 250912514935392593L);
-  ]
-
 let kat_message n = String.init n (fun i -> Char.chr (((i * 37) + 11) land 0xFF))
 
 let kat_string =
@@ -160,10 +146,6 @@ let test_known_answers () =
     (fun ((w, i), want) ->
       Alcotest.(check int64) (Printf.sprintf "indexed %Ld %d" w i) want (query_indexed kat w i))
     kat_indexed;
-  List.iter
-    (fun ((a, b), want) ->
-      Alcotest.(check int64) (Printf.sprintf "pair %Ld %Ld" a b) want (query_pair kat a b))
-    kat_pair;
   List.iter
     (fun (m, want) ->
       Alcotest.(check int64)
@@ -231,7 +213,6 @@ let () =
           Alcotest.test_case "indexed draws distinct" `Quick test_indexed_distinct;
           Alcotest.test_case "indexed encoding unambiguous" `Quick test_indexed_vs_pair_encoding;
           Alcotest.test_case "pair order matters" `Quick test_pair_order_matters;
-          Alcotest.test_case "unit float mapping" `Quick test_to_unit_float;
           Alcotest.test_case "uniformity (chi-square)" `Slow test_uniformity_chi_square;
           Alcotest.test_case "known answers" `Quick test_known_answers;
           Alcotest.test_case "two domains, own scratch" `Quick test_two_domains;

@@ -24,9 +24,7 @@ let test_budget_shares () =
   let n = 1000 and epoch_steps = 4096 in
   let good_total = n * Pow.Budget.good_id_budget ~epoch_steps in
   let adv = Pow.Budget.adversary_budget ~beta:0.2 ~n ~epoch_steps in
-  Alcotest.(check int) "quarter of good total" (good_total / 4) adv;
-  Alcotest.(check int) "stockpile is 3x" (3 * adv)
-    (Pow.Budget.adversary_stockpile_budget ~beta:0.2 ~n ~epoch_steps)
+  Alcotest.(check int) "quarter of good total" (good_total / 4) adv
 
 let test_epoch_clock () =
   let c = Pow.Epoch_clock.create ~epoch_steps:100 in
@@ -271,14 +269,15 @@ let prop_competitive_never_outspends_fixed =
           ~n
       in
       let fx = Pow.Controller.create (Pow.Controller.fixed ~epoch_steps:4096) ~n in
-      let ok = ref true in
+      let ok = ref true and closing = ref 0 in
       (* Quiet rounds halve the price, so reaching the floor takes
          ceil(floor_shift / subrounds) windows — run at least that
          many on top of the random count so the tail assertion is
          well-posed for every knob draw. *)
       let windows = max windows ((floor_shift / subrounds) + 1) in
       for _ = 1 to windows do
-        ignore (Pow.Controller.run_window comp ~good:n ~bad_budget:0 ());
+        closing :=
+          (Pow.Controller.run_window comp ~good:n ~bad_budget:0 ()).Pow.Controller.closing_price;
         ignore (Pow.Controller.run_window fx ~good:n ~bad_budget:0 ());
         if
           Pow.Controller.cumulative_good_spend comp
@@ -286,7 +285,7 @@ let prop_competitive_never_outspends_fixed =
         then ok := false
       done;
       (* And the quiet tail converges to the floor. *)
-      !ok && Pow.Controller.difficulty comp = Pow.Controller.floor_difficulty comp)
+      !ok && !closing = Pow.Controller.floor_difficulty comp)
 
 (* --- Join schedules --- *)
 
@@ -332,7 +331,12 @@ let test_e26_acceptance () =
   let r = Experiments.Exp_pow_epochs.run (Prng.Rng.create 1) Experiments.Scale.Quick in
   let get ~controller ~strategy_label =
     match
-      Experiments.Exp_pow_epochs.find_row r ~controller ~strategy_label ~beta:0.125
+      List.find_opt
+        (fun (row : Experiments.Exp_pow_epochs.row) ->
+          row.controller = controller
+          && Adversary.Join_schedule.label row.strategy = strategy_label
+          && Float.abs (row.beta -. 0.125) < 1e-9)
+        r.rows
     with
     | Some row -> row
     | None -> Alcotest.fail ("missing E26 row: " ^ strategy_label)

@@ -133,21 +133,6 @@ let test_bernoulli_edges_consume_nothing () =
   Alcotest.(check bool) "no draws consumed" true
     (List.init 8 (fun _ -> Prng.Rng.float a) = List.init 8 (fun _ -> Prng.Rng.float b))
 
-let test_geometric_mean () =
-  let a = rng 15 in
-  let sum = ref 0 in
-  let draws = 50_000 in
-  for _ = 1 to draws do
-    sum := !sum + Prng.Rng.geometric a 0.25
-  done;
-  (* Mean of failures-before-success is (1-p)/p = 3. *)
-  let mean = float_of_int !sum /. float_of_int draws in
-  Alcotest.(check bool) "mean near 3" true (Float.abs (mean -. 3.) < 0.15)
-
-let test_geometric_p_one () =
-  let a = rng 16 in
-  Alcotest.(check int) "p=1 is always 0" 0 (Prng.Rng.geometric a 1.0)
-
 let test_exponential_mean () =
   let a = rng 17 in
   let sum = ref 0. in
@@ -198,23 +183,6 @@ let test_sample_dense_case () =
   let sorted = Array.copy s in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "all of them" (Array.init 50 (fun i -> i)) sorted
-
-let test_permutation () =
-  let a = rng 22 in
-  let p = Prng.Rng.permutation a 64 in
-  let sorted = Array.copy p in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 64 (fun i -> i)) sorted
-
-let test_xoshiro_jump_disjoint () =
-  let x = Prng.Xoshiro.create 77L in
-  let y = Prng.Xoshiro.copy x in
-  Prng.Xoshiro.jump y;
-  let matches = ref 0 in
-  for _ = 1 to 64 do
-    if Int64.equal (Prng.Xoshiro.next x) (Prng.Xoshiro.next y) then incr matches
-  done;
-  Alcotest.(check bool) "jumped stream differs" true (!matches < 4)
 
 let test_splitmix_reference () =
   (* Reference values for SplitMix64 with seed 0 (from the
@@ -272,7 +240,6 @@ let () =
           Alcotest.test_case "copy is independent" `Quick test_copy_independence;
           Alcotest.test_case "split replays deterministically" `Quick test_split_determinism;
           Alcotest.test_case "split streams are independent" `Quick test_split_independence;
-          Alcotest.test_case "xoshiro jump gives disjoint stream" `Quick test_xoshiro_jump_disjoint;
           Alcotest.test_case "splitmix reference vectors" `Quick test_splitmix_reference;
         ] );
       ( "sampling",
@@ -287,8 +254,6 @@ let () =
           Alcotest.test_case "bernoulli rate" `Slow test_bernoulli;
           Alcotest.test_case "bernoulli edges consume nothing" `Quick
             test_bernoulli_edges_consume_nothing;
-          Alcotest.test_case "geometric mean" `Slow test_geometric_mean;
-          Alcotest.test_case "geometric p=1" `Quick test_geometric_p_one;
           Alcotest.test_case "exponential mean" `Slow test_exponential_mean;
         ] );
       ( "shuffles",
@@ -297,7 +262,6 @@ let () =
           Alcotest.test_case "shuffle uniform placement" `Slow test_shuffle_uniform_first;
           Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
           Alcotest.test_case "sample dense case" `Quick test_sample_dense_case;
-          Alcotest.test_case "permutation" `Quick test_permutation;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -29,7 +29,7 @@ let test_offer_record_breaking () =
   Alcotest.(check bool) "smaller accepted" true (Bins.offer b i2);
   Alcotest.(check bool) "non-record ignored" false (Bins.offer b i3);
   Alcotest.(check bool) "re-offer ignored" false (Bins.offer b i2);
-  Alcotest.(check int) "stored two" 2 (List.length (Bins.accepted b))
+  Alcotest.(check int) "stored two" 2 (List.length (Bins.solution_set b ~size:10))
 
 let test_offer_cap () =
   let b = Bins.create ~n:8 ~t_steps:8 ~b:1. ~c0:0.1 in

@@ -45,18 +45,30 @@ let test_search_success_degrades_with_beta () =
     (r_lo.success_rate >= r_hi.success_rate)
 
 let test_id_coverage () =
+  (* Theorem 3, second bullet: most good IDs reach most keys. Of 30
+     random good IDs, each trying 40 random keys, more than 80% succeed
+     on at least 90% of their keys. *)
   let g = make ~n:512 ~beta:0.05 () in
-  let c =
-    Tinygroups.Robustness.id_coverage (Prng.Rng.split rng) g ~failure:`Majority ~ids:30
-      ~keys:40 ~threshold:0.1
+  let r = Prng.Rng.split rng in
+  let sources =
+    Adversary.Population.good_ids (Tinygroups.Group_graph.population g)
   in
-  Alcotest.(check int) "sampled" 30 c.ids_sampled;
-  Alcotest.(check bool)
-    (Printf.sprintf "covered fraction %.2f high" c.covered_fraction)
-    true (c.covered_fraction > 0.8);
-  Array.iter
-    (fun r -> Alcotest.(check bool) "rates are probabilities" true (r >= 0. && r <= 1.))
-    c.per_id_rates
+  let picks = Prng.Rng.sample_without_replacement r 30 (Array.length sources) in
+  let rates =
+    Array.map
+      (fun i ->
+        let ok = ref 0 in
+        for _ = 1 to 40 do
+          let key = Idspace.Point.random r in
+          if (Tinygroups.Secure_route.verdict g ~failure:`Majority ~src:sources.(i) ~key).ok
+          then incr ok
+        done;
+        float_of_int !ok /. 40.)
+      picks
+  in
+  let covered = Array.fold_left (fun acc x -> if x >= 0.9 then acc + 1 else acc) 0 rates in
+  let fraction = float_of_int covered /. 30. in
+  Alcotest.(check bool) (Printf.sprintf "covered fraction %.2f high" fraction) true (fraction > 0.8)
 
 let test_departures_within_margin () =
   (* Departing a small fraction of good members leaves virtually all

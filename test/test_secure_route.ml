@@ -128,11 +128,19 @@ let test_single_group_path_costs_nothing () =
   Alcotest.(check bool) "succeeds locally" true (Tinygroups.Secure_route.succeeded o)
 
 let test_group_comm_cost () =
+  (* One intra-group all-to-all operation of the group led by [w]
+     costs |G|^2 messages: cost (i) of §I. *)
   let _, _, g = make ~n:256 () in
-  let leaders = Tinygroups.Group_graph.leaders g in
-  let w = leaders.(9) in
-  let size = Tinygroups.Group.size (Tinygroups.Group_graph.group_of g w) in
-  Alcotest.(check int) "g^2" (size * size) (Tinygroups.Secure_route.group_comm_cost g w)
+  let w = (Tinygroups.Group_graph.leaders g).(9) in
+  let grp = Tinygroups.Group_graph.group_of g w in
+  let size = Tinygroups.Group.size grp in
+  let r =
+    Agreement.Broadcast.send
+      ~sender_good:(Array.map not grp.Tinygroups.Group.member_bad)
+      ~receiver_count:size ~value:0
+      ~forge:(fun ~recipient:_ -> Some 1)
+  in
+  Alcotest.(check int) "g^2" (size * size) r.Agreement.Broadcast.messages
 
 let test_expected_route_cost () =
   let _, _, g = make ~n:256 () in

@@ -87,7 +87,6 @@ let test_engine_until () =
   List.iter (fun t -> Sim.Engine.schedule e ~at:t (fun () -> ran := t :: !ran)) [ 1; 5; 9 ];
   Sim.Engine.run ~until:5 e;
   Alcotest.(check (list int)) "only events <= until" [ 1; 5 ] (List.rev !ran);
-  Alcotest.(check int) "one pending" 1 (Sim.Engine.pending e);
   Sim.Engine.run e;
   Alcotest.(check (list int)) "rest runs later" [ 1; 5; 9 ] (List.rev !ran)
 
@@ -125,10 +124,7 @@ let test_metrics_snapshot_phases () =
   Alcotest.(check int) "found absent" 0 (Sim.Metrics.found phase "z");
   (* Snapshots are frozen: mutating [m] further must not move them. *)
   Sim.Metrics.add m "x" 100;
-  Alcotest.(check int) "frozen" 7 (Sim.Metrics.found after "x");
-  let resumed = Sim.Metrics.of_snapshot phase in
-  Sim.Metrics.incr resumed "y";
-  Alcotest.(check int) "of_snapshot resumes" 2 (Sim.Metrics.get resumed "y")
+  Alcotest.(check int) "frozen" 7 (Sim.Metrics.found after "x")
 
 let test_metrics_merge () =
   let a = Sim.Metrics.create () in

@@ -13,7 +13,9 @@ let test_universe_basics () =
   Alcotest.(check bool) "key by name agrees" true
     (Point.equal
        (Workload.Resources.key universe 7)
-       (Workload.Resources.lookup_key universe "file-7"))
+       (Workload.Resources.key
+          (Workload.Resources.make ~system_key:"wl-test" ~names:[| "file-7" |])
+          0))
 
 let test_keys_spread () =
   (* Hash-derived keys spread over the ring. *)
